@@ -321,31 +321,23 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", required=True,
                         choices=["axioms", "mdr", "ordered-submodular",
                                  "prop41", "ratios"])
-    verify.add_argument("--measure", default="hellinger")
-    verify.add_argument("--algorithm", default="discrete-greedy")
-    verify.add_argument("--n", type=int, default=200)
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    verify.add_argument("--steps", type=int, default=40)
-    verify.add_argument("--samples", type=int, default=40)
-    verify.add_argument("--out", default=None,
-                        help="write the first counterexample to this file")
-    verify.add_argument("--machine", action="store_true")
-    verify.set_defaults(fn=cmd_verify)
+    bench = sub.add_parser("bench", help="alias for verify --suite ratios")
+    bench.set_defaults(suite="ratios")
+    for p in (verify, bench):
+        p.add_argument("--measure", default="hellinger")
+        p.add_argument("--algorithm", default="discrete-greedy")
+        p.add_argument("--n", type=int, default=200)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--steps", type=int, default=40)
+        p.add_argument("--samples", type=int, default=40)
+        p.add_argument("--out", default=None,
+                       help="write the first counterexample to this file")
+        p.add_argument("--machine", action="store_true")
+        p.set_defaults(fn=cmd_verify)
 
     repro = sub.add_parser("repro", help="reproduce a case-study table")
     repro.add_argument("target", choices=["appendix-b", "appendix-c"])
     repro.set_defaults(fn=cmd_repro)
-
-    bench = sub.add_parser("bench", help="alias for verify --suite ratios")
-    bench.add_argument("--measure", default="hellinger")
-    bench.add_argument("--algorithm", default="discrete-greedy")
-    bench.add_argument("--n", type=int, default=200)
-    bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    bench.add_argument("--steps", type=int, default=40)
-    bench.add_argument("--samples", type=int, default=40)
-    bench.add_argument("--out", default=None)
-    bench.add_argument("--machine", action="store_true")
-    bench.set_defaults(fn=cmd_verify, suite="ratios")
 
     return parser
 

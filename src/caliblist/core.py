@@ -11,8 +11,9 @@ algorithm in this package maximizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "Subdistribution",
     "PositionWeights",
     "Instance",
+    "DenseCore",
     "Sequence",
     "ItemPositionSet",
     "OverlapMeasure",
@@ -62,18 +64,14 @@ class Subdistribution:
         clean = {}
         for g, v in self.weights.items():
             v = float(v)
-            if v < 0:
-                raise ValidationError(f"negative mass {v} for genre {g!r}")
             if v > 0:
                 clean[g] = v
+            elif v != 0:
+                raise ValidationError(f"negative or NaN mass {v} for genre {g!r}")
         total = sum(clean.values())
-        if total > 1 + TOL:
+        if not total <= 1 + TOL:  # also rejects +inf
             raise ValidationError(f"mass {total} exceeds 1")
         object.__setattr__(self, "weights", clean)
-
-    @classmethod
-    def zero(cls) -> "Subdistribution":
-        return cls({})
 
     def get(self, genre: str) -> float:
         return self.weights.get(genre, 0.0)
@@ -101,6 +99,8 @@ class PositionWeights:
         w = tuple(float(v) for v in self.w)
         if not w:
             raise ValidationError("weights must be nonempty")
+        if not all(math.isfinite(v) for v in w):
+            raise ValidationError("weights must be finite")
         if any(v < 0 for v in w):
             raise ValidationError("weights must be nonnegative")
         for a, b in zip(w, w[1:]):
@@ -122,6 +122,43 @@ class PositionWeights:
         if position < 1:
             raise IndexError(position)
         return self.w[position - 1] if position <= len(self.w) else 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class DenseCore:
+    """Dense arrays behind every objective of one instance.
+
+    ``p`` is the target over the sorted ``genres``. Each row of ``Q`` is the
+    genre distribution of one item, in catalog order, followed in discrete
+    mode by a unit row per sorted genre. ``item_row`` maps item ids to their
+    rows; ``row`` maps list elements (genre ids first in discrete mode).
+    ``w`` holds the position weights.
+    """
+
+    genres: tuple[str, ...]
+    p: np.ndarray
+    Q: np.ndarray
+    w: np.ndarray
+    item_row: Mapping[str, int]
+    row: Mapping[str, int]
+
+    @cached_property
+    def _full_target(self) -> bool:
+        return bool((self.p > 0).all())
+
+    def mixture(self, rows: list[int], weights: np.ndarray) -> np.ndarray:
+        """Sum of ``weights[r] * Q[rows[r]]``, added in the order given."""
+        if not rows:
+            return np.zeros(len(self.genres))
+        # accumulate adds strictly in order, whatever the array shape
+        return np.add.accumulate(weights[:, None] * self.Q.take(rows, 0), axis=0)[-1]
+
+    def value(self, G: "OverlapMeasure", q: np.ndarray) -> float:
+        """G over the union of the supports of the target and ``q``."""
+        if self._full_target:  # then the union is every genre
+            return float(G.value(self.p, q))
+        mask = (self.p > 0) | (q > 0)
+        return float(G.value(self.p[mask], q[mask]))
 
 
 @dataclass(frozen=True)
@@ -148,11 +185,34 @@ class Instance:
     def item_ids(self) -> tuple[str, ...]:
         return tuple(i for i, _ in self.items)
 
+    @cached_property
+    def dense(self) -> DenseCore:
+        """The dense core, built on first use and kept with the instance."""
+        genres = sorted(set(self.genres).union(
+            self.target.weights, *(d.weights for _, d in self.items)))
+        gidx = {g: n for n, g in enumerate(genres)}
+        p = np.zeros(len(genres))
+        for g, v in self.target.items():
+            p[gidx[g]] = v
+        n_items = len(self.items)
+        unit = self.mode == "discrete"
+        Q = np.zeros((n_items + (len(genres) if unit else 0), len(genres)))
+        item_row: dict[str, int] = {}
+        for r, (i, d) in enumerate(self.items):
+            item_row.setdefault(i, r)
+            for g, v in d.items():
+                Q[r, gidx[g]] = v
+        row = item_row
+        if unit:
+            Q[n_items:] = np.eye(len(genres))
+            row = {**item_row, **{g: n_items + n for g, n in gidx.items()}}
+        w = np.array(self.weights.w)
+        for a in (p, Q, w):
+            a.setflags(write=False)
+        return DenseCore(tuple(genres), p, Q, w, item_row, row)
+
     def item_dist(self, item_id: str) -> Subdistribution:
-        for i, d in self.items:
-            if i == item_id:
-                return d
-        raise KeyError(item_id)
+        return self.items[self.dense.item_row[item_id]][1]
 
     def universe(self) -> tuple[str, ...]:
         """Sorted element universe: genres in discrete mode, items otherwise."""
@@ -201,9 +261,6 @@ class ItemPositionSet:
     def __iter__(self):
         return iter(self.pairs)
 
-    def add(self, pair: tuple[str, int]) -> "ItemPositionSet":
-        return ItemPositionSet(self.pairs | {pair})
-
     def earliest_positions(self) -> dict[str, int]:
         """Earliest position of each item appearing in the set."""
         first: dict[str, int] = {}
@@ -242,12 +299,6 @@ class OverlapMeasure:
 
     def params(self) -> dict:
         return {}
-
-    def describe(self) -> str:
-        ps = self.params()
-        if not ps:
-            return self.name
-        return self.name + ":" + ",".join(f"{v}" for v in ps.values())
 
 
 class HellingerSquared(OverlapMeasure):
@@ -402,25 +453,21 @@ def validate_instance(inst: Instance) -> Instance:
     return inst
 
 
+def _list_mixture(seq: Sequence, inst: Instance) -> np.ndarray:
+    if len(seq) > inst.k:
+        raise ValidationError(f"sequence longer than k={inst.k}")
+    core = inst.dense
+    return core.mixture([core.row[e] for e in seq], core.w[:len(seq)])
+
+
 def induced_distribution(seq: Sequence, inst: Instance) -> Subdistribution:
     """Weighted genre mixture of a (possibly partial) list.
 
     Position j contributes w_j times the distribution of the element at j.
     Genre-id entries (discrete mode) count as point masses.
     """
-    if len(seq) > inst.k:
-        raise ValidationError(f"sequence longer than k={inst.k}")
-    genre_set = set(inst.genres)
-    out: dict[str, float] = {}
-    for j, elem in enumerate(seq, start=1):
-        wj = inst.weights[j]
-        if elem in genre_set and inst.mode == "discrete":
-            out[elem] = out.get(elem, 0.0) + wj
-            continue
-        dist = inst.item_dist(elem)
-        for g, v in dist.items():
-            out[g] = out.get(g, 0.0) + wj * v
-    return Subdistribution(out)
+    q = _list_mixture(seq, inst)
+    return Subdistribution(dict(zip(inst.dense.genres, q.tolist())))
 
 
 def eval_overlap(G: OverlapMeasure, p: Subdistribution, q: Subdistribution) -> float:
@@ -429,44 +476,32 @@ def eval_overlap(G: OverlapMeasure, p: Subdistribution, q: Subdistribution) -> f
 
 def seq_objective(G: OverlapMeasure, seq: Sequence, inst: Instance) -> float:
     """Overlap between the target and the list's induced distribution."""
-    return eval_overlap(G, inst.target, induced_distribution(seq, inst))
+    return inst.dense.value(G, _list_mixture(seq, inst))
 
 
-def _mixture(inst: Instance, contributions: Iterable[tuple[str, float]]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for item_id, weight in contributions:
-        if weight == 0.0:
-            continue
-        for g, v in inst.item_dist(item_id).items():
-            out[g] = out.get(g, 0.0) + weight * v
-    return out
-
-
-def _eval_raw(G: OverlapMeasure, p: Subdistribution, q: Mapping[str, float]) -> float:
-    """Evaluate a measure against a raw nonnegative vector.
+def _pairs_value(G: OverlapMeasure, inst: Instance, pairs) -> float:
+    """G on the raw mixture of (item, position) pairs, in iteration order.
 
     Set extensions can accumulate total mass above 1 (several items may
     share an early position), so no subdistribution cap applies here.
     """
-    genres = sorted(p.support() | set(q))
-    pa = np.array([p.get(g) for g in genres])
-    qa = np.array([q.get(g, 0.0) for g in genres])
-    return float(G.value(pa, qa))
+    core = inst.dense
+    pairs = list(pairs)
+    q = core.mixture([core.item_row[i] for i, _ in pairs],
+                     core.w[[j - 1 for _, j in pairs]])
+    return core.value(G, q)
 
 
 def fg_set(G: OverlapMeasure, R: ItemPositionSet, inst: Instance) -> float:
     """Set extension where each item contributes at its earliest position only."""
     _check_pairs(R, inst)
-    first = R.earliest_positions()
-    q = _mixture(inst, ((i, inst.weights[j]) for i, j in first.items()))
-    return _eval_raw(G, inst.target, q)
+    return _pairs_value(G, inst, R.earliest_positions().items())
 
 
 def hatfg_set(G: OverlapMeasure, R: ItemPositionSet, inst: Instance) -> float:
     """Set extension where every (item, position) occurrence contributes."""
     _check_pairs(R, inst)
-    q = _mixture(inst, ((i, inst.weights[j]) for i, j in R))
-    return _eval_raw(G, inst.target, q)
+    return _pairs_value(G, inst, R)
 
 
 def _check_pairs(R: ItemPositionSet, inst: Instance) -> None:

@@ -25,7 +25,6 @@ from .core import (
 __all__ = [
     "GreedyStep",
     "GreedyTrace",
-    "GenreLoad",
     "greedy_sequence",
     "discrete_greedy",
     "discrete_objective",
@@ -57,22 +56,6 @@ class GreedyTrace:
     @property
     def gains(self) -> list[float]:
         return [s.gain for s in self.steps]
-
-
-@dataclass
-class GenreLoad:
-    """Accumulated position weight assigned to each genre so far."""
-
-    alpha: dict[str, float] = field(default_factory=dict)
-
-    def get(self, genre: str) -> float:
-        return self.alpha.get(genre, 0.0)
-
-    def add(self, genre: str, weight: float) -> None:
-        self.alpha[genre] = self.alpha.get(genre, 0.0) + weight
-
-    def total(self) -> float:
-        return sum(self.alpha.values())
 
 
 def sequence_objective_fn(G: OverlapMeasure, inst: Instance) -> Callable[[Sequence], float]:
@@ -155,7 +138,7 @@ def discrete_greedy(inst: Instance) -> tuple[Sequence, GreedyTrace]:
     if not genres:
         raise ValidationError("empty genre set")
     p = inst.target
-    load = GenreLoad()
+    load: dict[str, float] = {}  # position weight packed into each genre
     seq = Sequence()
     trace = GreedyTrace()
     for pos in range(1, inst.k + 1):
@@ -163,7 +146,7 @@ def discrete_greedy(inst: Instance) -> tuple[Sequence, GreedyTrace]:
         best = runner = None
         best_gain = runner_gain = -math.inf
         for g in genres:
-            a = load.get(g)
+            a = load.get(g, 0.0)
             gain = math.sqrt(p.get(g)) * (math.sqrt(a + w) - math.sqrt(a))
             if gain > best_gain:
                 runner, runner_gain = best, best_gain
@@ -171,7 +154,7 @@ def discrete_greedy(inst: Instance) -> tuple[Sequence, GreedyTrace]:
             elif gain > runner_gain:
                 runner, runner_gain = g, gain
         trace.record(GreedyStep(pos, best, best_gain, runner, runner_gain))
-        load.add(best, w)
+        load[best] = load.get(best, 0.0) + w
         seq = seq.append(best)
     return seq, trace
 

@@ -7,6 +7,8 @@ fields are rejected so that typos fail loudly.
 from __future__ import annotations
 
 import json
+import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 from .core import (
@@ -36,27 +38,59 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+_JSON_TYPES = {"a number": (int, float), "a list": (list, tuple),
+               "an object": Mapping}
+
+
+def _typed(v, kind: str, where: str):
+    """Return ``v`` if it has the JSON type ``kind``.
+
+    Booleans are not numbers, and neither are integers beyond float range.
+    """
+    if isinstance(v, bool) or not isinstance(v, _JSON_TYPES[kind]) or (
+            kind == "a number" and abs(v) > sys.float_info.max):
+        raise ValidationError(f"{where}: expected {kind}, got {v!r}")
+    return v
+
+
+def _numbers(values, where: str):
+    """Return ``values`` once each is checked to be a JSON number."""
+    if not set(map(type, values)) <= {float}:  # all floats: one pass in C
+        for v in values:
+            _typed(v, "a number", where)
+    return values
+
+
+def _masses(v, where: str) -> Subdistribution:
+    masses = _typed(v, "an object", where)
+    _numbers(masses.values(), where)
+    return Subdistribution(masses)
+
+
 def instance_from_dict(data: dict) -> Instance:
+    data = _typed(data, "an object", "instance")
     unknown = set(data) - _FIELDS
     if unknown:
         raise ValidationError(f"unknown instance fields: {sorted(unknown)}")
     missing = _FIELDS - set(data) - {"k"}
     if missing:
         raise ValidationError(f"missing instance fields: {sorted(missing)}")
-    weights = PositionWeights(tuple(float(v) for v in data["weights"]))
-    if "k" in data and int(data["k"]) != weights.k:
+    weights = PositionWeights(tuple(
+        _numbers(_typed(data["weights"], "a list", "weights"), "weights")))
+    if "k" in data and _typed(data["k"], "a number", "k") != weights.k:
         raise ValidationError(
             f"k={data['k']} does not match {weights.k} weights")
     items = []
-    for entry in data["items"]:
-        extra = set(entry) - {"id", "dist"}
-        if extra:
-            raise ValidationError(f"unknown item fields: {sorted(extra)}")
-        items.append((str(entry["id"]),
-                      Subdistribution({g: float(v) for g, v in entry["dist"].items()})))
+    for entry in _typed(data["items"], "a list", "items"):
+        entry = _typed(entry, "an object", "item")
+        if entry.keys() != {"id", "dist"}:
+            extra = set(entry) - {"id", "dist"}
+            raise ValidationError(f"unknown item fields: {sorted(extra)}" if extra
+                                  else f"item needs an id and a dist: {entry!r}")
+        items.append((str(entry["id"]), _masses(entry["dist"], "dist")))
     inst = Instance(
-        genres=tuple(str(g) for g in data["genres"]),
-        target=Subdistribution({g: float(v) for g, v in data["target"].items()}),
+        genres=tuple(str(g) for g in _typed(data["genres"], "a list", "genres")),
+        target=_masses(data["target"], "target"),
         items=tuple(items),
         weights=weights,
         mode=str(data["mode"]),

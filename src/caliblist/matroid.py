@@ -22,9 +22,7 @@ from .core import (
     ItemPositionSet,
     OverlapMeasure,
     Sequence,
-    Subdistribution,
     ValidationError,
-    eval_overlap,
     seq_objective,
 )
 
@@ -49,8 +47,8 @@ SetFunction = Callable[[frozenset], float]
 
 
 @dataclass(frozen=True)
-class PartitionMatroid:
-    """One item per position: |R ∩ {(·, ℓ)}| <= 1 for every ℓ."""
+class _PairMatroid:
+    """A matroid over (item, position) pairs whose bases have k elements."""
 
     item_ids: tuple[str, ...]
     k: int
@@ -60,6 +58,10 @@ class PartitionMatroid:
 
     def basis_size(self) -> int:
         return self.k
+
+
+class PartitionMatroid(_PairMatroid):
+    """One item per position: |R ∩ {(·, ℓ)}| <= 1 for every ℓ."""
 
     def independent(self, pairs) -> bool:
         counts = [0] * (self.k + 1)
@@ -72,18 +74,8 @@ class PartitionMatroid:
         return True
 
 
-@dataclass(frozen=True)
-class LaminarMatroid:
+class LaminarMatroid(_PairMatroid):
     """Prefix-capacity matroid: |R ∩ {(·, j) : j <= ℓ}| <= ℓ for every ℓ."""
-
-    item_ids: tuple[str, ...]
-    k: int
-
-    def ground_set(self) -> list[Pair]:
-        return [(i, j) for j in range(1, self.k + 1) for i in sorted(self.item_ids)]
-
-    def basis_size(self) -> int:
-        return self.k
 
     def independent(self, pairs) -> bool:
         counts = [0] * (self.k + 1)
@@ -129,14 +121,11 @@ class FractionalPoint:
                 raise ValidationError(f"coordinate {e} = {v} outside [0,1]")
 
     def in_polytope(self, m: Matroid, tol: float = 1e-9) -> bool:
-        if isinstance(m, PartitionMatroid):
-            sums = [0.0] * (m.k + 1)
-            for (i, j), v in self.x.items():
-                sums[j] += v
-            return all(s <= 1 + tol for s in sums[1:])
         sums = [0.0] * (m.k + 1)
         for (i, j), v in self.x.items():
             sums[j] += v
+        if isinstance(m, PartitionMatroid):
+            return all(s <= 1 + tol for s in sums[1:])
         running = 0.0
         for ell in range(1, m.k + 1):
             running += sums[ell]
@@ -309,50 +298,36 @@ def set_to_sequence(R: ItemPositionSet, inst: Instance,
 # ---------------------------------------------------------------------------
 
 
-class _ArrayInstance:
-    """Numpy view of an instance for tight set-function loops."""
+def fg_function(G: OverlapMeasure, inst: Instance) -> SetFunction:
+    """Earliest-occurrence set extension as a fast frozenset closure."""
+    core = inst.dense
+    p, Q, w, row = core.p, core.Q, core.w, core.item_row
 
-    def __init__(self, inst: Instance, G: OverlapMeasure):
-        self.inst = inst
-        self.G = G
-        self.genres = sorted(inst.genres)
-        gidx = {g: n for n, g in enumerate(self.genres)}
-        self.p = np.zeros(len(self.genres))
-        for g, v in inst.target.items():
-            self.p[gidx[g]] = v
-        self.items = sorted(inst.item_ids)
-        self.iidx = {i: n for n, i in enumerate(self.items)}
-        self.q = np.zeros((len(self.items), len(self.genres)))
-        for i, d in inst.items:
-            for g, v in d.items():
-                self.q[self.iidx[i], gidx[g]] = v
-        self.w = np.array(inst.weights.w)
-
-    def fg(self, pairs) -> float:
+    def fg(pairs) -> float:
         first: dict[str, int] = {}
         for i, j in pairs:
             if i not in first or j < first[i]:
                 first[i] = j
-        mix = np.zeros(len(self.p))
+        mix = np.zeros(len(p))
         for i, j in first.items():
-            mix += self.w[j - 1] * self.q[self.iidx[i]]
-        return self.G.value(self.p, mix)
+            mix += w[j - 1] * Q[row[i]]
+        return G.value(p, mix)
 
-    def hatfg(self, pairs) -> float:
-        mix = np.zeros(len(self.p))
-        for i, j in pairs:
-            mix += self.w[j - 1] * self.q[self.iidx[i]]
-        return self.G.value(self.p, mix)
-
-
-def fg_function(G: OverlapMeasure, inst: Instance) -> SetFunction:
-    """Earliest-occurrence set extension as a fast frozenset closure."""
-    return _ArrayInstance(inst, G).fg
+    return fg
 
 
 def hatfg_function(G: OverlapMeasure, inst: Instance) -> SetFunction:
     """Every-occurrence set extension as a fast frozenset closure."""
-    return _ArrayInstance(inst, G).hatfg
+    core = inst.dense
+    p, Q, w, row = core.p, core.Q, core.w, core.item_row
+
+    def hatfg(pairs) -> float:
+        mix = np.zeros(len(p))
+        for i, j in pairs:
+            mix += w[j - 1] * Q[row[i]]
+        return G.value(p, mix)
+
+    return hatfg
 
 
 def solve_distributional(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,11 +22,11 @@ from .core import (
     Sequence,
     Subdistribution,
     ValidationError,
-    _eval_raw,
     eval_overlap,
     fg_set,
     seq_objective,
 )
+from .repro import GenParams, generate_instances
 
 __all__ = [
     "SEARCH_LIMIT",
@@ -51,23 +51,6 @@ def _candidate_count(n: int, k: int, allow_repeats: bool) -> int:
     for r in range(k):
         count *= max(n - r, 0)
     return count
-
-
-def _element_matrix(inst: Instance, universe: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of genre distributions per universe element, plus the target."""
-    genres = sorted(inst.genres)
-    gidx = {g: n for n, g in enumerate(genres)}
-    M = np.zeros((len(universe), len(genres)))
-    for r, elem in enumerate(universe):
-        if inst.mode == "discrete" and elem in gidx:
-            M[r, gidx[elem]] = 1.0
-        else:
-            for g, v in inst.item_dist(elem).items():
-                M[r, gidx[g]] = v
-    p = np.zeros(len(genres))
-    for g, v in inst.target.items():
-        p[gidx[g]] = v
-    return M, p
 
 
 def exhaustive_opt(
@@ -102,12 +85,12 @@ def exhaustive_opt(
         idx = np.fromiter(
             (i for tup in gen for i in tup), dtype=np.int64
         ).reshape(-1, k)
-        M, p = _element_matrix(inst, universe)
-        w = np.array(inst.weights.w)
+        core = inst.dense
+        M = core.Q[[core.row[e] for e in universe]]
         Q = np.zeros((idx.shape[0], M.shape[1]))
         for j in range(k):
-            Q += w[j] * M[idx[:, j]]
-        vals = measure.value_batch(p, Q)
+            Q += core.w[j] * M[idx[:, j]]
+        vals = measure.value_batch(core.p, Q)
         best = int(np.argmax(vals))  # first max = lexicographically smallest
         seq = Sequence(tuple(universe[i] for i in idx[best]))
         return seq, float(vals[best])
@@ -164,14 +147,6 @@ def check_overlap_axioms(G: OverlapMeasure, trials: int, seed: int) -> CheckResu
     return CheckResult(violations == 0, trials, violations, counterexample)
 
 
-@dataclass(frozen=True)
-class InstanceShape:
-    max_genres: int = 4
-    max_items: int = 5
-    max_k: int = 4
-    mode: str = "distributional"
-
-
 @dataclass
 class MdrResult:
     mdr: CheckResult
@@ -198,20 +173,18 @@ def _random_nested_sets(rng: np.random.Generator, ground: list) -> tuple[set, se
     return R, T, e
 
 
-def check_mdr(G: OverlapMeasure, shape: InstanceShape | None = None,
+def check_mdr(G: OverlapMeasure, params: GenParams | None = None,
               trials: int = 1000, seed: int = 42) -> MdrResult:
     """Probe monotonicity and submodularity of the set extension of G.
 
-    The SMDR half additionally finite-difference checks that G itself is
-    coordinatewise non-decreasing in q.
+    The MDR half draws distributional instances from ``params``, by default
+    up to 4 genres, 5 items and k = 4. The SMDR half additionally
+    finite-difference checks that G itself is coordinatewise non-decreasing
+    in q.
     """
-    from .repro import GenParams, generate_instances
-
-    shape = shape or InstanceShape()
+    params = params or GenParams(max_genres=4, max_items=5, max_k=4)
     rng = np.random.default_rng(seed)
-    params = GenParams(max_genres=shape.max_genres, max_items=shape.max_items,
-                       max_k=shape.max_k)
-    insts = generate_instances(params, shape.mode, seed=seed + 1, n=trials)
+    insts = generate_instances(params, "distributional", seed=seed + 1, n=trials)
 
     mdr_viol = 0
     mdr_ce = None
@@ -240,9 +213,11 @@ def check_mdr(G: OverlapMeasure, shape: InstanceShape | None = None,
         p = _random_subdistribution(rng, genres, full=True)
         q = _random_subdistribution(rng, genres)
         g = genres[int(rng.integers(0, len(genres)))]
-        bumped = dict(q.items())
-        bumped[g] = bumped.get(g, 0.0) + delta
-        hi = _eval_raw(G, p, bumped)
+        # a raw vector: the bump may lift q's mass above 1
+        support = sorted(p.support() | q.support() | {g})
+        pa = np.array([p.get(x) for x in support])
+        qa = np.array([q.get(x) + (delta if x == g else 0.0) for x in support])
+        hi = float(G.value(pa, qa))
         lo = eval_overlap(G, p, q)
         if hi < lo - _VIOLATION_TOL:
             smdr_viol += 1

@@ -1,12 +1,13 @@
 """End-to-end tests for the command-line interface (run in-process)."""
 
 import json
+import math
 
 import pytest
 
 from caliblist.cli import main, parse_measure
 from caliblist.core import ValidationError
-from caliblist.io import save_instance
+from caliblist.io import instance_to_dict, save_instance
 
 from test_core import make_instance
 
@@ -77,6 +78,38 @@ class TestSolve:
     def test_bad_measure_is_exit_1(self, instance_file, capsys):
         assert main(["solve", instance_file, "--measure", "cosine"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_nan_weights_are_exit_1(self, tmp_path, capsys):
+        # json.load reads NaN; such a file used to solve to "value": 0.0
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(
+            {**instance_to_dict(make_instance()), "weights": [math.nan] * 4,
+             "k": 4}))
+        assert main(["solve", str(path), "--machine"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("weights", ["abc"]),
+        ("weights", 5),
+        ("weights", [10 ** 400]),
+        ("items", 5),
+        ("target", [0.5, 0.5]),
+        ("items", [{"dist": {"g1": 1.0}}]),
+    ])
+    def test_ill_typed_field_is_exit_1(self, tmp_path, capsys, field, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {**instance_to_dict(make_instance()), field: value}))
+        assert main(["solve", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_string_mass_is_exit_1(self, tmp_path, capsys):
+        data = instance_to_dict(make_instance())
+        data["items"][0]["dist"]["g1"] = "0.4"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path)]) == 1
+        assert "expected a number" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -57,6 +57,12 @@ class TestSubdistribution:
         with pytest.raises(ValidationError):
             Subdistribution({"a": 0.7, "b": 0.5})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mass_rejected(self, bad):
+        # a NaN used to be dropped silently, as if it were a zero entry
+        with pytest.raises(ValidationError):
+            Subdistribution({"a": bad, "b": 1.0})
+
     def test_is_full(self):
         assert Subdistribution({"a": 1.0}).is_full()
         assert not Subdistribution({"a": 0.5}).is_full()
@@ -81,6 +87,12 @@ class TestPositionWeights:
     def test_bad_sum_rejected(self):
         with pytest.raises(ValidationError):
             PositionWeights((0.6, 0.3))
+
+    @pytest.mark.parametrize("w", [
+        (math.nan,), (0.5, math.nan, 0.5), (math.inf,), (1.0, -math.inf)])
+    def test_non_finite_rejected(self, w):
+        with pytest.raises(ValidationError, match="finite"):
+            PositionWeights(w)
 
     def test_small_drift_renormalized(self):
         w = PositionWeights((0.5 + 5e-7, 0.5))

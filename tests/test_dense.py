@@ -1,0 +1,250 @@
+"""The dense instance core against the dict-based evaluation it replaced.
+
+The reference below is the original implementation: a per-genre dict
+mixture built from a linear item scan, evaluated over the sorted union of
+the two supports. The dense path must agree with it exactly (``==``), not
+approximately, so that every solver output stays bit-identical.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from caliblist.core import (
+    Instance,
+    ItemPositionSet,
+    PositionWeights,
+    Sequence,
+    Subdistribution,
+    fg_set,
+    hatfg_set,
+    hellinger_squared,
+    induced_distribution,
+    power,
+    seq_objective,
+    validate_instance,
+)
+from caliblist.matroid import fg_function, hatfg_function
+
+from test_core import make_instance
+
+# ---------------------------------------------------------------------------
+# Reference: dict mixtures, linear scans, support-union evaluation
+# ---------------------------------------------------------------------------
+
+
+def ref_item_dist(inst, item_id):
+    for i, d in inst.items:
+        if i == item_id:
+            return d
+    raise KeyError(item_id)
+
+
+def ref_eval(G, p, q):
+    genres = sorted(p.support() | set(q))
+    pa = np.array([p.get(g) for g in genres])
+    qa = np.array([q.get(g, 0.0) for g in genres])
+    return float(G.value(pa, qa))
+
+
+def ref_seq_objective(G, seq, inst):
+    out = {}
+    for j, elem in enumerate(seq, start=1):
+        wj = inst.weights[j]
+        if elem in inst.genres and inst.mode == "discrete":
+            out[elem] = out.get(elem, 0.0) + wj
+            continue
+        for g, v in ref_item_dist(inst, elem).items():
+            out[g] = out.get(g, 0.0) + wj * v
+    return ref_eval(G, inst.target, Subdistribution(out).weights)
+
+
+def ref_mixture(inst, contributions):
+    out = {}
+    for item_id, weight in contributions:
+        if weight == 0.0:
+            continue
+        for g, v in ref_item_dist(inst, item_id).items():
+            out[g] = out.get(g, 0.0) + weight * v
+    return out
+
+
+def ref_fg(G, R, inst):
+    first = R.earliest_positions()
+    return ref_eval(G, inst.target, ref_mixture(
+        inst, ((i, inst.weights[j]) for i, j in first.items())))
+
+
+def ref_hatfg(G, R, inst):
+    return ref_eval(G, inst.target, ref_mixture(
+        inst, ((i, inst.weights[j]) for i, j in R)))
+
+
+def ref_closure(G, inst, pairs, earliest):
+    """The all-genre evaluation of the continuous-greedy closures."""
+    genres = sorted(inst.genres)
+    p = np.array([inst.target.get(g) for g in genres])
+    if earliest:
+        first = {}
+        for i, j in pairs:
+            if i not in first or j < first[i]:
+                first[i] = j
+        pairs = first.items()
+    mix = np.zeros(len(genres))
+    for i, j in pairs:
+        d = ref_item_dist(inst, i)
+        mix += inst.weights.w[j - 1] * np.array([d.get(g) for g in genres])
+    return G.value(p, mix)
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+# ---------------------------------------------------------------------------
+
+_mass = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+
+
+def _normalized(raw):
+    if sum(raw) == 0:
+        raw = [1.0] + list(raw[1:])
+    total = sum(raw)
+    return [v / total for v in raw]
+
+
+@st.composite
+def instances(draw):
+    mode = draw(st.sampled_from(["distributional", "discrete"]))
+    genres = tuple(f"g{n}" for n in range(draw(st.integers(1, 12))))
+    target = _normalized(draw(st.lists(_mass, min_size=len(genres),
+                                       max_size=len(genres))))
+    if mode == "discrete":
+        items = tuple((f"i{n}", Subdistribution({g: 1.0}))
+                      for n, g in enumerate(genres))
+    else:
+        n_items = draw(st.integers(1, 8))
+        items = tuple(
+            (f"i{n}", Subdistribution(dict(zip(genres, _normalized(draw(
+                st.lists(_mass, min_size=len(genres), max_size=len(genres))))))))
+            for n in range(n_items))
+    raw_w = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12))
+    weights = sorted(_normalized(raw_w), reverse=True)
+    return validate_instance(Instance(
+        genres=genres,
+        target=Subdistribution(dict(zip(genres, target))),
+        items=items,
+        weights=PositionWeights(tuple(weights)),
+        mode=mode,
+    ))
+
+
+def reversed_items(inst):
+    return Instance(inst.genres, inst.target, inst.items[::-1], inst.weights,
+                    inst.mode)
+
+
+measures = st.one_of(st.just(hellinger_squared()),
+                     st.sampled_from([0.25, 0.5, 0.75]).map(power))
+
+
+def _elements(inst):
+    ids = list(inst.item_ids)
+    return ids + list(inst.genres) if inst.mode == "discrete" else ids
+
+
+# ---------------------------------------------------------------------------
+# Exactness
+# ---------------------------------------------------------------------------
+
+
+@given(instances(), measures, st.data())
+@settings(max_examples=300, deadline=None)
+def test_seq_objective_is_exact(inst, G, data):
+    length = data.draw(st.integers(0, inst.k))
+    seq = Sequence(tuple(data.draw(
+        st.lists(st.sampled_from(_elements(inst)),
+                 min_size=length, max_size=length))))
+    want = ref_seq_objective(G, seq, inst)
+    assert seq_objective(G, seq, inst) == want
+    assert seq_objective(G, seq, reversed_items(inst)) == want
+
+
+@given(instances(), measures, st.data())
+@settings(max_examples=300, deadline=None)
+def test_set_extensions_are_exact(inst, G, data):
+    pairs = data.draw(st.frozensets(st.tuples(
+        st.sampled_from(inst.item_ids), st.integers(1, inst.k)), max_size=10))
+    R = ItemPositionSet(pairs)
+    for i in (inst, reversed_items(inst)):
+        assert fg_set(G, R, i) == ref_fg(G, R, inst)
+        assert hatfg_set(G, R, i) == ref_hatfg(G, R, inst)
+        assert fg_function(G, i)(pairs) == ref_closure(G, inst, pairs, True)
+        assert hatfg_function(G, i)(pairs) == ref_closure(G, inst, pairs, False)
+
+
+@given(instances())
+@settings(max_examples=100, deadline=None)
+def test_induced_distribution_is_exact(inst):
+    seq = Sequence(tuple(_elements(inst)[:inst.k]))
+    q = induced_distribution(seq, inst)
+    for g in inst.genres:
+        want = 0.0
+        for j, e in enumerate(seq, start=1):
+            unit = inst.mode == "discrete" and e in inst.genres
+            want += inst.weights[j] * (
+                float(e == g) if unit else ref_item_dist(inst, e).get(g))
+        assert q.get(g) == want
+
+
+def test_empty_list_and_empty_set():
+    inst = make_instance()
+    G = hellinger_squared()
+    empty = ItemPositionSet(frozenset())
+    assert seq_objective(G, Sequence(), inst) == 0.0
+    assert seq_objective(G, Sequence(), inst) == ref_seq_objective(
+        G, Sequence(), inst)
+    assert fg_set(G, empty, inst) == ref_fg(G, empty, inst) == 0.0
+    assert hatfg_set(G, empty, inst) == ref_hatfg(G, empty, inst) == 0.0
+
+
+def test_single_genre_long_list_adds_in_position_order():
+    # one column: a pairwise or blocked sum over the list would differ here
+    w = _normalized([math.pi / n for n in range(1, 13)])
+    inst = validate_instance(Instance(
+        genres=("g",), target=Subdistribution({"g": 1.0}),
+        items=(("a", Subdistribution({"g": 1.0})),),
+        weights=PositionWeights(tuple(w))))
+    seq = Sequence(("a",) * 12)
+    q = induced_distribution(seq, inst)
+    total = 0.0
+    for v in inst.weights.w:
+        total += v
+    assert q.get("g") == total
+    G = power(0.5)
+    assert seq_objective(G, seq, inst) == ref_seq_objective(G, seq, inst)
+
+
+class TestItemDist:
+    def test_lookup_matches_scan(self):
+        inst = make_instance()
+        for i in inst.item_ids:
+            assert inst.item_dist(i) is ref_item_dist(inst, i)
+
+    def test_unknown_id_raises_key_error(self):
+        with pytest.raises(KeyError):
+            make_instance().item_dist("nope")
+
+    def test_unknown_list_element_raises_key_error(self):
+        with pytest.raises(KeyError):
+            seq_objective(hellinger_squared(), Sequence(("nope",)),
+                          make_instance())
+
+    def test_core_is_built_once_and_read_only(self):
+        inst = make_instance()
+        assert "dense" not in vars(inst)  # not built at construction
+        core = inst.dense
+        assert inst.dense is core
+        with pytest.raises(ValueError):
+            core.Q[0, 0] = 1.0

@@ -1,0 +1,107 @@
+"""Golden `solve --machine` records for a fixed seeded corpus.
+
+Every solver and both modes run on small `generate_instances` corpora; each
+record must match the stored one byte for byte, so a refactor that changes
+any list, value or gain (down to the last float bit) fails here.
+
+To re-record after an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+from caliblist.cli import main
+from caliblist.io import save_instance
+from caliblist.repro import GenParams, generate_instances
+
+GOLDEN = Path(__file__).with_name("golden_machine_records.json")
+
+_LOW = ["--steps", "8", "--samples", "8"]
+
+# (mode, generator params, seed, count, solve argument lists)
+CORPUS = (
+    ("distributional", GenParams(min_items=4, max_items=7, max_k=4), 11, 4, (
+        ["--algorithm", "greedy"],
+        ["--algorithm", "greedy", "--measure", "power:0.5"],
+        ["--algorithm", "greedy", "--allow-repeats"],
+        ["--algorithm", "greedy", "--best-length"],
+        ["--algorithm", "exhaustive"],
+        ["--algorithm", "exhaustive", "--measure", "power:0.25"],
+        ["--algorithm", "continuous", *_LOW],
+        ["--algorithm", "continuous", "--measure", "power:0.5", *_LOW],
+        ["--algorithm", "continuous-repeats", *_LOW],
+        ["--algorithm", "continuous-repeats", "--measure", "power:0.5", *_LOW],
+    )),
+    ("discrete", GenParams(max_genres=4, max_k=5), 12, 3, (
+        ["--algorithm", "greedy"],
+        ["--algorithm", "greedy", "--measure", "power:0.5"],
+        ["--algorithm", "discrete-greedy"],
+        ["--algorithm", "discrete-greedy", "--best-length"],
+        ["--algorithm", "exhaustive"],
+        ["--algorithm", "continuous-repeats", *_LOW],
+    )),
+    # long lists over many genres, and one genre only
+    ("distributional", GenParams(min_genres=8, max_genres=14, min_items=10,
+                                 max_items=16, min_k=8, max_k=12), 13, 3, (
+        ["--algorithm", "greedy"],
+        ["--algorithm", "greedy", "--measure", "power:0.5"],
+        ["--algorithm", "greedy", "--allow-repeats"],
+        ["--algorithm", "greedy", "--k-override", "6"],
+        ["--algorithm", "continuous", "--steps", "2", "--samples", "2"],
+    )),
+    ("distributional", GenParams(min_genres=1, max_genres=1, min_items=9,
+                                 max_items=9, min_k=9, max_k=9), 14, 1, (
+        ["--algorithm", "greedy"],
+        ["--algorithm", "greedy", "--measure", "power:0.5"],
+    )),
+    ("discrete", GenParams(min_genres=6, max_genres=9, min_k=9, max_k=12),
+     15, 2, (
+        ["--algorithm", "greedy"],
+        ["--algorithm", "greedy", "--measure", "power:0.75"],
+        ["--algorithm", "discrete-greedy"],
+    )),
+)
+
+
+def run_corpus(workdir: Path, capture) -> list[dict]:
+    """Solve every (instance, arguments) pair; ``capture()`` returns stdout."""
+    records = []
+    for group, (mode, params, seed, count, argvs) in enumerate(CORPUS):
+        for n, inst in enumerate(generate_instances(params, mode, seed, count)):
+            path = workdir / f"{group}-{mode}-{n}.json"
+            save_instance(inst, path)
+            for argv in argvs:
+                rc = main(["solve", str(path), "--machine", *argv])
+                records.append({"instance": path.stem, "argv": argv,
+                                "rc": rc, "stdout": capture()})
+    return records
+
+
+def test_machine_records_match_golden(tmp_path, capsys):
+    got = run_corpus(tmp_path, lambda: capsys.readouterr().out)
+    want = json.loads(GOLDEN.read_text())
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    buf = io.StringIO()
+
+    def capture() -> str:
+        out = buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+        return out
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(buf):
+        records = run_corpus(Path(tmp), capture)
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"wrote {len(records)} records to {GOLDEN}", file=sys.stderr)
