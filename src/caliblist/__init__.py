@@ -9,7 +9,6 @@ from .core import (
     Subdistribution,
     ValidationError,
     concave,
-    eval_overlap,
     f_divergence,
     fg_set,
     hatfg_set,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -38,6 +39,13 @@ def parse_measure(spec: str) -> OverlapMeasure:
         return power(float(spec.split(":", 1)[1]))
     raise ValidationError(
         f"unknown measure {spec!r}; use 'hellinger' or 'power:<beta>'")
+
+
+def _solver_measure(args) -> OverlapMeasure:
+    """The run's measure; discrete-greedy's closed-form value is Hellinger only."""
+    if args.algorithm == "discrete-greedy" and args.measure != "hellinger":
+        raise ValidationError("discrete-greedy supports only --measure hellinger")
+    return parse_measure(args.measure)
 
 
 @dataclass
@@ -108,7 +116,7 @@ def _solve_one(inst, args, G) -> tuple[Sequence, float, list[float]]:
 
 def cmd_solve(args) -> int:
     inst = load_instance(args.file)
-    G = parse_measure(args.measure)
+    G = _solver_measure(args)
     if args.k_override is not None:
         inst = greedy_mod.truncate_instance(inst, args.k_override)
     start = time.perf_counter()
@@ -120,12 +128,10 @@ def cmd_solve(args) -> int:
         seq, value, gains = _solve_one(inst, args, G)
         length = len(seq)
     duration = time.perf_counter() - start
-    if args.algorithm != "discrete-greedy":
-        check_inst = (greedy_mod.truncate_instance(inst, length)
-                      if length != inst.k else inst)
-        recheck = seq_objective(G, seq, check_inst)
-        if abs(recheck - value) > 1e-12:
-            raise ValidationError("reported value failed re-validation")
+    check_inst = (greedy_mod.truncate_instance(inst, length)
+                  if length != inst.k else inst)
+    if abs(seq_objective(G, seq, check_inst) - value) > 1e-12:
+        raise ValidationError("reported value failed re-validation")
     report = SolveReport(
         algorithm=args.algorithm, measure=args.measure, seed=args.seed,
         sequence=seq.entries, value=value, gains=gains,
@@ -234,7 +240,7 @@ def _verify_prop41(args) -> dict:
 
 
 def _verify_ratios(args) -> dict:
-    G = parse_measure(args.measure)
+    G = _solver_measure(args)
     if args.algorithm == "discrete-greedy":
         gen = lambda seed, n: repro_mod.generate_instances(
             repro_mod.GenParams(max_genres=5, max_k=6), "discrete", seed, n)
@@ -346,9 +352,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return rc
     except (ValidationError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader is gone; mute the final flush too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -40,8 +40,8 @@ __all__ = [
     "concave",
     "validate_instance",
     "induced_distribution",
-    "eval_overlap",
     "seq_objective",
+    "earliest",
     "fg_set",
     "hatfg_set",
 ]
@@ -160,6 +160,18 @@ class DenseCore:
         mask = (self.p > 0) | (q > 0)
         return float(G.value(self.p[mask], q[mask]))
 
+    def pairs_value(self, G: "OverlapMeasure", pairs) -> float:
+        """G on the raw mixture of (item, position) pairs, in iteration order.
+
+        The mass may exceed 1 (several items can share an early position).
+        The loop adds in the order of :meth:`mixture`, so the bits agree.
+        """
+        Q, w, row = self.Q, self.w, self.item_row
+        q = np.zeros(len(self.genres))
+        for i, j in pairs:
+            q += w[j - 1] * Q[row[i]]
+        return self.value(G, q)
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -263,11 +275,16 @@ class ItemPositionSet:
 
     def earliest_positions(self) -> dict[str, int]:
         """Earliest position of each item appearing in the set."""
-        first: dict[str, int] = {}
-        for i, j in self.pairs:
-            if i not in first or j < first[i]:
-                first[i] = j
-        return first
+        return earliest(self.pairs)
+
+
+def earliest(pairs) -> dict[str, int]:
+    """Earliest position of each item, in the order items first appear."""
+    first: dict[str, int] = {}
+    for i, j in pairs:
+        if i not in first or j < first[i]:
+            first[i] = j
+    return first
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +307,6 @@ class OverlapMeasure:
     def value_batch(self, p: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """Evaluate against each row of ``Q``. Default is a python loop."""
         return np.array([self.value(p, q) for q in Q])
-
-    def evaluate(self, p: Subdistribution, q: Subdistribution) -> float:
-        genres = sorted(p.support() | q.support())
-        pa = np.array([p.get(g) for g in genres])
-        qa = np.array([q.get(g) for g in genres])
-        return float(self.value(pa, qa))
 
     def params(self) -> dict:
         return {}
@@ -470,44 +481,27 @@ def induced_distribution(seq: Sequence, inst: Instance) -> Subdistribution:
     return Subdistribution(dict(zip(inst.dense.genres, q.tolist())))
 
 
-def eval_overlap(G: OverlapMeasure, p: Subdistribution, q: Subdistribution) -> float:
-    return G.evaluate(p, q)
-
-
 def seq_objective(G: OverlapMeasure, seq: Sequence, inst: Instance) -> float:
     """Overlap between the target and the list's induced distribution."""
     return inst.dense.value(G, _list_mixture(seq, inst))
 
 
-def _pairs_value(G: OverlapMeasure, inst: Instance, pairs) -> float:
-    """G on the raw mixture of (item, position) pairs, in iteration order.
-
-    Set extensions can accumulate total mass above 1 (several items may
-    share an early position), so no subdistribution cap applies here.
-    """
-    core = inst.dense
-    pairs = list(pairs)
-    q = core.mixture([core.item_row[i] for i, _ in pairs],
-                     core.w[[j - 1 for _, j in pairs]])
-    return core.value(G, q)
-
-
 def fg_set(G: OverlapMeasure, R: ItemPositionSet, inst: Instance) -> float:
     """Set extension where each item contributes at its earliest position only."""
     _check_pairs(R, inst)
-    return _pairs_value(G, inst, R.earliest_positions().items())
+    return inst.dense.pairs_value(G, R.earliest_positions().items())
 
 
 def hatfg_set(G: OverlapMeasure, R: ItemPositionSet, inst: Instance) -> float:
     """Set extension where every (item, position) occurrence contributes."""
     _check_pairs(R, inst)
-    return _pairs_value(G, inst, R)
+    return inst.dense.pairs_value(G, R)
 
 
 def _check_pairs(R: ItemPositionSet, inst: Instance) -> None:
-    ids = set(inst.item_ids)
+    rows = inst.dense.item_row
     for i, j in R:
-        if i not in ids:
+        if i not in rows:
             raise ValidationError(f"unknown item {i!r}")
         if j > inst.k:
             raise ValidationError(f"position {j} exceeds k={inst.k}")

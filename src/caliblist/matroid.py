@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -23,6 +24,7 @@ from .core import (
     OverlapMeasure,
     Sequence,
     ValidationError,
+    earliest,
     seq_objective,
 )
 
@@ -30,7 +32,6 @@ __all__ = [
     "PartitionMatroid",
     "LaminarMatroid",
     "FractionalPoint",
-    "is_independent",
     "max_weight_basis",
     "multilinear_estimate",
     "continuous_greedy",
@@ -48,7 +49,11 @@ SetFunction = Callable[[frozenset], float]
 
 @dataclass(frozen=True)
 class _PairMatroid:
-    """A matroid over (item, position) pairs whose bases have k elements."""
+    """A matroid over (item, position) pairs whose bases have k elements.
+
+    Subclasses state their constraints once, in :meth:`fits`, over the
+    per-position totals of a set (counts) or of a fractional point (sums).
+    """
 
     item_ids: tuple[str, ...]
     k: int
@@ -59,9 +64,9 @@ class _PairMatroid:
     def basis_size(self) -> int:
         return self.k
 
-
-class PartitionMatroid(_PairMatroid):
-    """One item per position: |R ∩ {(·, ℓ)}| <= 1 for every ℓ."""
+    def fits(self, sums, tol: float = 0.0) -> bool:
+        """Whether per-position totals ``sums[1..k]`` meet every constraint."""
+        raise NotImplementedError
 
     def independent(self, pairs) -> bool:
         counts = [0] * (self.k + 1)
@@ -69,33 +74,29 @@ class PartitionMatroid(_PairMatroid):
             if j < 1 or j > self.k or i not in self.item_ids:
                 raise ValidationError(f"pair {(i, j)} outside ground set")
             counts[j] += 1
-            if counts[j] > 1:
-                return False
-        return True
+        return self.fits(counts)
+
+
+class PartitionMatroid(_PairMatroid):
+    """One item per position: |R ∩ {(·, ℓ)}| <= 1 for every ℓ."""
+
+    def fits(self, sums, tol: float = 0.0) -> bool:
+        return all(s <= 1 + tol for s in sums[1:])
 
 
 class LaminarMatroid(_PairMatroid):
     """Prefix-capacity matroid: |R ∩ {(·, j) : j <= ℓ}| <= ℓ for every ℓ."""
 
-    def independent(self, pairs) -> bool:
-        counts = [0] * (self.k + 1)
-        for i, j in pairs:
-            if j < 1 or j > self.k or i not in self.item_ids:
-                raise ValidationError(f"pair {(i, j)} outside ground set")
-            counts[j] += 1
+    def fits(self, sums, tol: float = 0.0) -> bool:
         running = 0
         for ell in range(1, self.k + 1):
-            running += counts[ell]
-            if running > ell:
+            running += sums[ell]
+            if running > ell + tol:
                 return False
         return True
 
 
 Matroid = PartitionMatroid | LaminarMatroid
-
-
-def is_independent(m: Matroid, R: ItemPositionSet) -> bool:
-    return m.independent(R.pairs)
 
 
 def max_weight_basis(m: Matroid, weights: dict[Pair, float]) -> frozenset:
@@ -122,16 +123,9 @@ class FractionalPoint:
 
     def in_polytope(self, m: Matroid, tol: float = 1e-9) -> bool:
         sums = [0.0] * (m.k + 1)
-        for (i, j), v in self.x.items():
+        for (_, j), v in self.x.items():
             sums[j] += v
-        if isinstance(m, PartitionMatroid):
-            return all(s <= 1 + tol for s in sums[1:])
-        running = 0.0
-        for ell in range(1, m.k + 1):
-            running += sums[ell]
-            if running > ell + tol:
-                return False
-        return True
+        return m.fits(sums, tol)
 
 
 def _sample_set(rng: np.random.Generator, pairs: list[Pair], probs: np.ndarray) -> frozenset:
@@ -282,7 +276,7 @@ def set_to_sequence(R: ItemPositionSet, inst: Instance,
     pad the tail. Requires an SMDR measure for the value guarantee.
     """
     m = LaminarMatroid(inst.item_ids, inst.k)
-    if len(R) != inst.k or not is_independent(m, R):
+    if len(R) != inst.k or not m.independent(R.pairs):
         raise ValidationError("R is not a basis of the laminar matroid")
     first = R.earliest_positions()
     ordered = sorted(first, key=lambda i: (first[i], i))
@@ -294,40 +288,19 @@ def set_to_sequence(R: ItemPositionSet, inst: Instance,
 
 
 # ---------------------------------------------------------------------------
-# Fast set-function closures and end-to-end solvers
+# Set-function closures and end-to-end solvers
 # ---------------------------------------------------------------------------
 
 
 def fg_function(G: OverlapMeasure, inst: Instance) -> SetFunction:
-    """Earliest-occurrence set extension as a fast frozenset closure."""
+    """Earliest-occurrence set extension as a frozenset closure."""
     core = inst.dense
-    p, Q, w, row = core.p, core.Q, core.w, core.item_row
-
-    def fg(pairs) -> float:
-        first: dict[str, int] = {}
-        for i, j in pairs:
-            if i not in first or j < first[i]:
-                first[i] = j
-        mix = np.zeros(len(p))
-        for i, j in first.items():
-            mix += w[j - 1] * Q[row[i]]
-        return G.value(p, mix)
-
-    return fg
+    return lambda pairs: core.pairs_value(G, earliest(pairs).items())
 
 
 def hatfg_function(G: OverlapMeasure, inst: Instance) -> SetFunction:
-    """Every-occurrence set extension as a fast frozenset closure."""
-    core = inst.dense
-    p, Q, w, row = core.p, core.Q, core.w, core.item_row
-
-    def hatfg(pairs) -> float:
-        mix = np.zeros(len(p))
-        for i, j in pairs:
-            mix += w[j - 1] * Q[row[i]]
-        return G.value(p, mix)
-
-    return hatfg
+    """Every-occurrence set extension as a frozenset closure."""
+    return partial(inst.dense.pairs_value, G)
 
 
 def solve_distributional(

@@ -20,11 +20,8 @@ from .core import (
     ItemPositionSet,
     OverlapMeasure,
     Sequence,
-    Subdistribution,
     ValidationError,
-    eval_overlap,
     fg_set,
-    seq_objective,
 )
 from .repro import GenParams, generate_instances
 
@@ -81,7 +78,7 @@ def exhaustive_opt(
     gen = (itertools.product(range(n), repeat=k) if allow_repeats
            else itertools.permutations(range(n), k))
 
-    if objective is None and hasattr(measure, "value_batch"):
+    if objective is None:
         idx = np.fromiter(
             (i for tup in gen for i in tup), dtype=np.int64
         ).reshape(-1, k)
@@ -95,12 +92,10 @@ def exhaustive_opt(
         seq = Sequence(tuple(universe[i] for i in idx[best]))
         return seq, float(vals[best])
 
-    fn = objective if objective is not None else (
-        lambda s: seq_objective(measure, s, inst))
     best_seq, best_val = None, -math.inf
     for tup in gen:
         seq = Sequence(tuple(universe[i] for i in tup))
-        val = fn(seq)
+        val = objective(seq)
         if val > best_val:
             best_seq, best_val = seq, val
     return best_seq, best_val
@@ -117,13 +112,15 @@ class CheckResult:
         return self.passed
 
 
-def _random_subdistribution(rng: np.random.Generator, genres: list[str],
-                            full: bool = False, positive: bool = False) -> Subdistribution:
-    raw = rng.uniform(0.05 if positive else 0.0, 1.0, size=len(genres))
-    raw = raw / raw.sum()
-    if not full:
-        raw = raw * rng.uniform(0.1, 1.0)
-    return Subdistribution(dict(zip(genres, raw)))
+def _random_pair(rng: np.random.Generator) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Genres g1..gn (2 <= n <= 6), a distribution p and a subdistribution q.
+
+    Every mass is positive, so both arrays span the union of the supports.
+    """
+    genres = [f"g{n + 1}" for n in range(int(rng.integers(2, 7)))]
+    p = rng.uniform(0.0, 1.0, size=len(genres))
+    q = rng.uniform(0.0, 1.0, size=len(genres))
+    return genres, p / p.sum(), q / q.sum() * rng.uniform(0.1, 1.0)
 
 
 def check_overlap_axioms(G: OverlapMeasure, trials: int, seed: int) -> CheckResult:
@@ -132,16 +129,15 @@ def check_overlap_axioms(G: OverlapMeasure, trials: int, seed: int) -> CheckResu
     violations = 0
     counterexample = None
     for _ in range(trials):
-        genres = [f"g{n + 1}" for n in range(int(rng.integers(2, 7)))]
-        p = _random_subdistribution(rng, genres, full=True)
-        q = _random_subdistribution(rng, genres)
-        self_val = eval_overlap(G, p, p)
-        val = eval_overlap(G, p, q)
+        genres, p, q = _random_pair(rng)
+        self_val = float(G.value(p, p))
+        val = float(G.value(p, q))
         if val < 0 or not val < self_val - 1e-12:
             violations += 1
             if counterexample is None:
                 counterexample = {
-                    "p": dict(p.items()), "q": dict(q.items()),
+                    "p": dict(zip(genres, p.tolist())),
+                    "q": dict(zip(genres, q.tolist())),
                     "value": val, "value_at_p": self_val,
                 }
     return CheckResult(violations == 0, trials, violations, counterexample)
@@ -209,21 +205,19 @@ def check_mdr(G: OverlapMeasure, params: GenParams | None = None,
     smdr_ce = None
     delta = 1e-6
     for _ in range(trials):
-        genres = [f"g{n + 1}" for n in range(int(rng.integers(2, 7)))]
-        p = _random_subdistribution(rng, genres, full=True)
-        q = _random_subdistribution(rng, genres)
-        g = genres[int(rng.integers(0, len(genres)))]
+        genres, p, q = _random_pair(rng)
+        g = int(rng.integers(0, len(genres)))
         # a raw vector: the bump may lift q's mass above 1
-        support = sorted(p.support() | q.support() | {g})
-        pa = np.array([p.get(x) for x in support])
-        qa = np.array([q.get(x) + (delta if x == g else 0.0) for x in support])
-        hi = float(G.value(pa, qa))
-        lo = eval_overlap(G, p, q)
+        bumped = q.copy()
+        bumped[g] += delta
+        hi = float(G.value(p, bumped))
+        lo = float(G.value(p, q))
         if hi < lo - _VIOLATION_TOL:
             smdr_viol += 1
             if smdr_ce is None:
-                smdr_ce = {"p": dict(p.items()), "q": dict(q.items()),
-                           "genre": g, "before": lo, "after": hi}
+                smdr_ce = {"p": dict(zip(genres, p.tolist())),
+                           "q": dict(zip(genres, q.tolist())),
+                           "genre": genres[g], "before": lo, "after": hi}
 
     return MdrResult(
         mdr=CheckResult(mdr_viol == 0, trials, mdr_viol, mdr_ce),

@@ -1,15 +1,40 @@
-"""End-to-end tests for the command-line interface (run in-process)."""
+"""End-to-end tests for the command-line interface.
 
+All run in-process except the closed-pipe tests, which need a real stdout.
+"""
+
+import copy
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caliblist.cli import main, parse_measure
-from caliblist.core import ValidationError
-from caliblist.io import instance_to_dict, save_instance
+from caliblist.core import Sequence, ValidationError, hellinger_squared, seq_objective
+from caliblist.io import instance_from_dict, instance_to_dict, save_instance
+from caliblist.repro import GenParams, generate_instances
 
 from test_core import make_instance
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture
+def discrete_file(tmp_path):
+    inst = generate_instances(GenParams(min_genres=4, max_genres=4, min_k=4,
+                                        max_k=4), "discrete", seed=7, n=1)[0]
+    path = tmp_path / "discrete.json"
+    save_instance(inst, path)
+    return str(path)
 
 
 @pytest.fixture
@@ -103,6 +128,15 @@ class TestSolve:
         assert main(["solve", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_discrete_greedy_is_hellinger_only(self, discrete_file, capsys):
+        # its value is the closed-form Hellinger overlap, whatever the measure
+        assert main(["solve", discrete_file, "--algorithm", "discrete-greedy",
+                     "--measure", "power:0.25"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert main(["solve", discrete_file, "--algorithm", "discrete-greedy",
+                     "--machine"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["sequence"]) == 4
+
     def test_string_mass_is_exit_1(self, tmp_path, capsys):
         data = instance_to_dict(make_instance())
         data["items"][0]["dist"]["g1"] = "0.4"
@@ -143,6 +177,13 @@ class TestVerify:
         assert record["min_ratio"] >= record["threshold"]
 
 
+    def test_discrete_greedy_ratios_are_hellinger_only(self, capsys):
+        assert main(["verify", "--suite", "ratios", "--algorithm",
+                     "discrete-greedy", "--measure", "power:0.5",
+                     "--n", "5"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+
 class TestRepro:
     def test_appendix_c_passes(self, capsys):
         assert main(["repro", "appendix-c"]) == 0
@@ -164,3 +205,97 @@ class TestBench:
                      "--n", "25", "--machine"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["suite"] == "ratios"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "axioms", "--n", "3"],
+                                  ["repro", "appendix-c"]])
+def test_closed_stdout_exits_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "caliblist.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed instance files: solve with a re-validated value, or exit 1
+# ---------------------------------------------------------------------------
+
+_BAD_VALUES = [None, True, "abc", "", [], {}, 0, 5, -1.0, 10 ** 400,
+               math.nan, math.inf, -math.inf, [0.5, 0.5], {"g1": 1.0}]
+
+
+def _locations(doc, path=()):
+    """Every path to a value inside a JSON document, the root excluded."""
+    children = (doc.items() if isinstance(doc, dict)
+                else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in children:
+        yield path + (key,)
+        yield from _locations(value, path + (key,))
+
+
+@st.composite
+def perturbed_documents(draw):
+    """A valid instance document with up to three fields broken."""
+    inst = generate_instances(
+        GenParams(max_genres=4, max_items=5, max_k=4),
+        draw(st.sampled_from(["distributional", "discrete"])),
+        seed=draw(st.integers(0, 2 ** 32 - 1)), n=1)[0]
+    doc = instance_to_dict(inst)
+    for _ in range(draw(st.integers(0, 3))):
+        *where, key = draw(st.sampled_from(list(_locations(doc))))
+        parent = doc
+        for step in where:
+            parent = parent[step]
+        value = parent[key]
+        ops = ["replace", "delete"]
+        if isinstance(value, dict):
+            ops.append("extra key")
+        if isinstance(value, list) and value:
+            ops.append("duplicate")
+        if isinstance(value, float):
+            ops.append("nudge")
+        op = draw(st.sampled_from(ops))
+        if op == "replace":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_BAD_VALUES)))
+        elif op == "delete":
+            del parent[key]
+        elif op == "extra key":
+            value["extra"] = 1.0
+        elif op == "duplicate":
+            value.append(copy.deepcopy(value[draw(st.integers(0, len(value) - 1))]))
+        else:
+            parent[key] = value + draw(st.sampled_from([1e-3, -1e-3]))
+    return doc
+
+
+@given(perturbed_documents())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_instance_files_solve_or_exit_1(doc):
+    try:
+        inst = instance_from_dict(copy.deepcopy(doc))
+    except ValidationError:
+        inst = None
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["solve", path, "--machine"])
+    if rc == 0:
+        record = json.loads(out.getvalue())
+        assert inst is not None
+        recheck = seq_objective(hellinger_squared(),
+                                Sequence(tuple(record["sequence"])), inst)
+        assert abs(recheck - record["value"]) <= 1e-12
+    else:
+        assert rc == 1
+        assert err.getvalue().startswith("error:")

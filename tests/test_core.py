@@ -15,7 +15,6 @@ from caliblist.core import (
     Subdistribution,
     ValidationError,
     concave,
-    eval_overlap,
     f_divergence,
     fg_set,
     hatfg_set,
@@ -190,8 +189,8 @@ class TestInducedDistribution:
 
 class TestHellinger:
     def test_value_at_self_is_one(self):
-        p = Subdistribution({"a": 0.3, "b": 0.7})
-        assert eval_overlap(hellinger_squared(), p, p) == pytest.approx(1.0)
+        p = np.array([0.3, 0.7])
+        assert hellinger_squared().value(p, p) == pytest.approx(1.0)
 
     def test_hand_computed_value(self):
         # [DERIVED] sqrt(0.5*0.78) + sqrt(0.5*0.22)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from caliblist.core import (
@@ -83,23 +83,6 @@ def ref_hatfg(G, R, inst):
         inst, ((i, inst.weights[j]) for i, j in R)))
 
 
-def ref_closure(G, inst, pairs, earliest):
-    """The all-genre evaluation of the continuous-greedy closures."""
-    genres = sorted(inst.genres)
-    p = np.array([inst.target.get(g) for g in genres])
-    if earliest:
-        first = {}
-        for i, j in pairs:
-            if i not in first or j < first[i]:
-                first[i] = j
-        pairs = first.items()
-    mix = np.zeros(len(genres))
-    for i, j in pairs:
-        d = ref_item_dist(inst, i)
-        mix += inst.weights.w[j - 1] * np.array([d.get(g) for g in genres])
-    return G.value(p, mix)
-
-
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
@@ -115,9 +98,9 @@ def _normalized(raw):
 
 
 @st.composite
-def instances(draw):
-    mode = draw(st.sampled_from(["distributional", "discrete"]))
-    genres = tuple(f"g{n}" for n in range(draw(st.integers(1, 12))))
+def instances(draw, modes=("distributional", "discrete"), n_genres=(1, 12)):
+    mode = draw(st.sampled_from(modes))
+    genres = tuple(f"g{n}" for n in range(draw(st.integers(*n_genres))))
     target = _normalized(draw(st.lists(_mass, min_size=len(genres),
                                        max_size=len(genres))))
     if mode == "discrete":
@@ -180,8 +163,24 @@ def test_set_extensions_are_exact(inst, G, data):
     for i in (inst, reversed_items(inst)):
         assert fg_set(G, R, i) == ref_fg(G, R, inst)
         assert hatfg_set(G, R, i) == ref_hatfg(G, R, inst)
-        assert fg_function(G, i)(pairs) == ref_closure(G, inst, pairs, True)
-        assert hatfg_function(G, i)(pairs) == ref_closure(G, inst, pairs, False)
+        assert fg_function(G, i)(pairs) == ref_fg(G, R, inst)
+        assert hatfg_function(G, i)(pairs) == ref_hatfg(G, R, inst)
+
+
+@given(instances(modes=("distributional",), n_genres=(8, 14)), measures,
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_lists_sets_and_closures_share_one_formula(inst, G, data):
+    assume(len(inst.target.weights) < len(inst.genres))  # partial support
+    s = data.draw(st.lists(st.sampled_from(inst.item_ids), max_size=inst.k))
+    pairs = [(e, j) for j, e in enumerate(s, start=1)]
+    assert inst.dense.pairs_value(G, pairs) == seq_objective(
+        G, Sequence(tuple(s)), inst)
+    S = data.draw(st.frozensets(st.tuples(
+        st.sampled_from(inst.item_ids), st.integers(1, inst.k)), max_size=14))
+    R = ItemPositionSet(S)
+    assert fg_function(G, inst)(S) == fg_set(G, R, inst)
+    assert hatfg_function(G, inst)(S) == hatfg_set(G, R, inst)
 
 
 @given(instances())

@@ -22,7 +22,6 @@ from caliblist.matroid import (
     continuous_greedy,
     fg_function,
     hatfg_function,
-    is_independent,
     max_weight_basis,
     multilinear_estimate,
     pipage_round,
@@ -61,9 +60,10 @@ class TestIndependence:
         with pytest.raises(ValidationError):
             m.independent({("z", 1)})
 
-    def test_wrapper_accepts_item_position_set(self):
+    def test_ground_set_checked_before_counts(self):
         m = PartitionMatroid(("a", "b"), 2)
-        assert is_independent(m, ItemPositionSet(frozenset({("a", 1)})))
+        with pytest.raises(ValidationError):
+            m.independent([("a", 1), ("b", 1), ("z", 1)])
 
 
 class TestMaxWeightBasis:
@@ -96,6 +96,15 @@ class TestFractionalPoint:
         outside = FractionalPoint({("a", 1): 0.9, ("b", 1): 0.9})
         assert inside.in_polytope(m)
         assert not outside.in_polytope(m)
+
+    @pytest.mark.parametrize("cls", [PartitionMatroid, LaminarMatroid])
+    def test_integral_points_match_independence(self, cls):
+        m = cls(("a", "b", "c"), 3)
+        ground = m.ground_set()
+        for mask in range(1 << len(ground)):
+            S = {e for n, e in enumerate(ground) if mask >> n & 1}
+            x = FractionalPoint({e: float(e in S) for e in ground})
+            assert x.in_polytope(m, tol=0.0) == m.independent(S)
 
 
 class TestMultilinear:
