@@ -160,6 +160,16 @@ class DenseCore:
         mask = (self.p > 0) | (q > 0)
         return float(G.value(self.p[mask], q[mask]))
 
+    def values(self, G: "OverlapMeasure", qs: np.ndarray) -> np.ndarray:
+        """:meth:`value` of each row of ``qs``.
+
+        One ``value_batch`` call over all genres, unless the target misses a
+        genre that the measure does not ignore where p = q = 0.
+        """
+        if self._full_target or G.zero_off_support:
+            return G.value_batch(self.p, qs)
+        return np.array([self.value(G, q) for q in qs])
+
     def pairs_value(self, G: "OverlapMeasure", pairs) -> float:
         """G on the raw mixture of (item, position) pairs, in iteration order.
 
@@ -300,6 +310,9 @@ class OverlapMeasure:
     """
 
     name: str = "overlap"
+    # True when a genre with p = q = 0 adds nothing to the value, so the
+    # value over all genres equals the value over the union of supports.
+    zero_off_support: bool = False
 
     def value(self, p: np.ndarray, q: np.ndarray) -> float:
         raise NotImplementedError
@@ -316,6 +329,7 @@ class HellingerSquared(OverlapMeasure):
     """Sum of sqrt(p(x) q(x)); maximum value 1, attained only at q = p."""
 
     name = "hellinger"
+    zero_off_support = True
 
     def value(self, p, q):
         return float(np.sum(np.sqrt(p * q)))
@@ -328,6 +342,7 @@ class PowerOverlap(OverlapMeasure):
     """Sum of p(x)^(1-beta) q(x)^beta for beta in (0, 1)."""
 
     name = "power"
+    zero_off_support = True
 
     def __init__(self, beta: float):
         if not 0 < beta < 1:
@@ -354,6 +369,7 @@ class FDivergenceOverlap(OverlapMeasure):
     """
 
     name = "f-divergence"
+    zero_off_support = True
 
     def __init__(self, f: Callable[[float], float], d_star: float):
         self.f = f
@@ -381,6 +397,7 @@ class ConcaveOverlap(OverlapMeasure):
     """Sum of h(q(x)) / h'(p(x)) for a nonnegative non-decreasing concave h."""
 
     name = "concave"
+    zero_off_support = True
 
     def __init__(self, h: Callable[[float], float], h_prime: Callable[[float], float]):
         for x in (0.25, 0.5, 1.0):

@@ -38,8 +38,8 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
-_JSON_TYPES = {"a number": (int, float), "a list": (list, tuple),
-               "an object": Mapping}
+_JSON_TYPES = {"a number": (int, float), "a string": str,
+               "a list": (list, tuple), "an object": Mapping}
 
 
 def _typed(v, kind: str, where: str):
@@ -58,6 +58,14 @@ def _numbers(values, where: str):
     if not set(map(type, values)) <= {float}:  # all floats: one pass in C
         for v in values:
             _typed(v, "a number", where)
+    return values
+
+
+def _strings(values, where: str):
+    """Return ``values`` once each is checked to be a JSON string."""
+    if not set(map(type, values)) <= {str}:  # one pass in C
+        for v in values:
+            _typed(v, "a string", where)
     return values
 
 
@@ -87,13 +95,14 @@ def instance_from_dict(data: dict) -> Instance:
             extra = set(entry) - {"id", "dist"}
             raise ValidationError(f"unknown item fields: {sorted(extra)}" if extra
                                   else f"item needs an id and a dist: {entry!r}")
-        items.append((str(entry["id"]), _masses(entry["dist"], "dist")))
+        items.append((entry["id"], _masses(entry["dist"], "dist")))
+    _strings([i for i, _ in items], "item id")
     inst = Instance(
-        genres=tuple(str(g) for g in _typed(data["genres"], "a list", "genres")),
+        genres=tuple(_strings(_typed(data["genres"], "a list", "genres"), "genre id")),
         target=_masses(data["target"], "target"),
         items=tuple(items),
         weights=weights,
-        mode=str(data["mode"]),
+        mode=_typed(data["mode"], "a string", "mode"),
     )
     return validate_instance(inst)
 

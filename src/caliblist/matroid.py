@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    DenseCore,
     Instance,
     ItemPositionSet,
     OverlapMeasure,
@@ -41,6 +42,7 @@ __all__ = [
     "solve_with_repeats",
     "fg_function",
     "hatfg_function",
+    "PairFunction",
 ]
 
 Pair = tuple[str, int]
@@ -146,6 +148,18 @@ def multilinear_estimate(F: SetFunction, x: FractionalPoint, samples: int, seed:
     return total / samples
 
 
+def _mean_gains_by_call(F: SetFunction, ground: list[Pair], S: np.ndarray) -> np.ndarray:
+    """:meth:`PairFunction.mean_gains` for any set function, one call per marginal."""
+    gains = [0.0] * len(ground)
+    for row in S.tolist():
+        members = frozenset(e for e, inside in zip(ground, row) if inside)
+        base = F(members)
+        for n, (e, inside) in enumerate(zip(ground, row)):
+            if not inside:
+                gains[n] += F(members | {e}) - base
+    return np.array(gains) / len(S)
+
+
 def continuous_greedy(
     F: SetFunction,
     m: Matroid,
@@ -157,27 +171,26 @@ def continuous_greedy(
 
     Per-pair marginal weights are sampled at the current point; the result
     is an average of T bases and therefore lies in the matroid polytope.
+    The package's own closures score all samples at once on the dense
+    core; any other set function is called once per marginal.
     """
     if steps < 1 or samples < 1:
         raise ValidationError("steps and samples must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     ground = m.ground_set()
-    x = {e: 0.0 for e in ground}
+    index = {e: n for n, e in enumerate(ground)}
+    mean_gains = (F.mean_gains if isinstance(F, PairFunction)
+                  else partial(_mean_gains_by_call, F))
+    x = np.zeros(len(ground))
     for _ in range(steps):
-        probs = np.array([x[e] for e in ground])
-        gains = {e: 0.0 for e in ground}
-        for _ in range(samples):
-            S = _sample_set(rng, ground, probs)
-            base = F(S)
-            for e in ground:
-                if e in S:
-                    continue
-                gains[e] += F(S | {e}) - base
-        weights = {e: g / samples for e, g in gains.items()}
-        basis = max_weight_basis(m, weights)
-        for e in basis:
-            x[e] += 1.0 / steps
-    return FractionalPoint({e: min(v, 1.0) for e, v in x.items()})
+        # row by row, the same draws as one rng.random(len(ground)) per sample
+        S = rng.random((samples, len(ground))) < x
+        gains = mean_gains(ground, S)
+        for e in max_weight_basis(m, dict(zip(ground, gains.tolist()))):
+            x[index[e]] += 1.0 / steps
+    return FractionalPoint({e: min(v, 1.0) for e, v in zip(ground, x.tolist())})
 
 
 def _snap(x: dict[Pair, float], tol: float = 1e-12) -> None:
@@ -292,15 +305,78 @@ def set_to_sequence(R: ItemPositionSet, inst: Instance,
 # ---------------------------------------------------------------------------
 
 
-def fg_function(G: OverlapMeasure, inst: Instance) -> SetFunction:
+# One sample chunk's candidate mixtures stay below this many bytes.
+_CHUNK_BYTES = 16 << 20
+
+
+@dataclass(frozen=True, eq=False)
+class PairFunction:
+    """fg or hatfg of one instance and measure, called on a set of pairs.
+
+    With ``first_only`` (fg) each item counts at its earliest position only;
+    otherwise (hatfg) every (item, position) pair contributes.
+    """
+
+    G: OverlapMeasure
+    core: DenseCore
+    first_only: bool
+
+    def __call__(self, pairs) -> float:
+        if self.first_only:
+            pairs = earliest(pairs).items()
+        return self.core.pairs_value(self.G, pairs)
+
+    def mean_gains(self, ground: list[Pair], S: np.ndarray) -> np.ndarray:
+        """Mean over the rows of ``S`` of F(set ∪ {e}) − F(set), per pair e.
+
+        Row s of the boolean matrix ``S`` marks the pairs of ``ground`` in
+        one sampled set. Adding (i, j) adds ``delta · Q_i`` to the set's
+        mixture: ``w_j`` for hatfg, and for fg ``w_j − w_first(i)`` if j
+        precedes the item's earliest position (``w_first`` is 0 for an
+        absent item). A pair with ``delta = 0`` gains exactly 0.
+        """
+        core = self.core
+        items = {i: n for n, i in enumerate(dict.fromkeys(i for i, _ in ground))}
+        col = np.array([items[i] for i, _ in ground], dtype=int)
+        pos = np.array([j - 1 for _, j in ground], dtype=int)
+        w = core.w[pos]
+        Q_items = core.Q[[core.item_row[i] for i in items]]
+        # row 0 of every sample's block is the set itself (delta 0)
+        Q_pairs = np.vstack([np.zeros(Q_items.shape[1]), Q_items[col]])
+        k = len(core.w)
+        w0 = np.append(core.w, 0.0)  # position index k: the item is absent
+        chunk = max(1, _CHUNK_BYTES // Q_pairs.nbytes)
+        total = np.zeros(len(ground))
+        for start in range(0, len(S), chunk):
+            block = S[start:start + chunk]
+            if self.first_only:
+                # each item's earliest sampled position index, k if absent
+                first = np.full((len(items), len(block)), k)
+                np.minimum.at(first, col, np.where(block, pos, k).T)
+                q = w0[first.T] @ Q_items
+                first = first.T[:, col]
+                delta = np.where(pos < first, w - w0[first], 0.0)
+            else:
+                q = np.where(block, w, 0.0) @ Q_pairs[1:]
+                delta = np.where(block, 0.0, w)
+            delta = np.hstack([np.zeros((len(block), 1)), delta])
+            mixtures = q[:, None, :] + delta[:, :, None] * Q_pairs
+            vals = core.values(self.G, mixtures.reshape(-1, Q_pairs.shape[1]))
+            vals = vals.reshape(len(block), -1)
+            gains = np.where(delta[:, 1:] != 0, vals[:, 1:] - vals[:, :1], 0.0)
+            # add sample by sample, in the order of the per-call loop
+            total = np.add.accumulate(np.vstack([total, gains]))[-1]
+        return total / len(S)
+
+
+def fg_function(G: OverlapMeasure, inst: Instance) -> PairFunction:
     """Earliest-occurrence set extension as a frozenset closure."""
-    core = inst.dense
-    return lambda pairs: core.pairs_value(G, earliest(pairs).items())
+    return PairFunction(G, inst.dense, first_only=True)
 
 
-def hatfg_function(G: OverlapMeasure, inst: Instance) -> SetFunction:
+def hatfg_function(G: OverlapMeasure, inst: Instance) -> PairFunction:
     """Every-occurrence set extension as a frozenset closure."""
-    return partial(inst.dense.pairs_value, G)
+    return PairFunction(G, inst.dense, first_only=False)
 
 
 def solve_distributional(

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 SEARCH_LIMIT = 10_000_000
+_BLOCK = 1 << 16  # candidate rows enumerated and scored at a time
 _VIOLATION_TOL = 1e-9
 
 
@@ -48,6 +49,27 @@ def _candidate_count(n: int, k: int, allow_repeats: bool) -> int:
     for r in range(k):
         count *= max(n - r, 0)
     return count
+
+
+def _index_blocks(n: int, k: int, allow_repeats: bool, count: int):
+    """The ``count`` candidate index rows in lexicographic order, in blocks.
+
+    With repeats, row c is c written in base n; otherwise the rows are
+    ``itertools.permutations(range(n), k)``. A search of at most
+    ``_BLOCK`` rows is one block.
+    """
+    perms = itertools.permutations(range(n), k)
+    for start in range(0, count, _BLOCK):
+        rows = min(_BLOCK, count - start)
+        if not allow_repeats:
+            flat = itertools.chain.from_iterable(itertools.islice(perms, rows))
+            yield np.fromiter(flat, np.int64, rows * k).reshape(rows, k)
+            continue
+        c = np.arange(start, start + rows)
+        idx = np.empty((rows, k), np.int64)
+        for j in range(k - 1, -1, -1):
+            c, idx[:, j] = np.divmod(c, n)
+        yield idx
 
 
 def exhaustive_opt(
@@ -70,28 +92,28 @@ def exhaustive_opt(
     if allow_repeats is None:
         allow_repeats = inst.mode == "discrete"
     n = len(universe)
-    if _candidate_count(n, k, allow_repeats) > SEARCH_LIMIT:
+    count = _candidate_count(n, k, allow_repeats)
+    if count > SEARCH_LIMIT:
         raise ValidationError("search space too large for exhaustive_opt")
-    if not allow_repeats and n < k:
-        raise ValidationError("fewer elements than positions without repeats")
+    if count == 0:
+        raise ValidationError("no candidate list: too few elements")
+
+    if objective is None:
+        core = inst.dense
+        M = core.Q[[core.row[e] for e in universe]]
+        best_row, best_val = None, -math.inf
+        for idx in _index_blocks(n, k, allow_repeats, count):
+            Q = np.zeros((idx.shape[0], M.shape[1]))
+            for j in range(k):
+                Q += core.w[j] * M[idx[:, j]]
+            vals = measure.value_batch(core.p, Q)
+            b = int(np.argmax(vals))  # first max = lexicographically smallest
+            if best_row is None or vals[b] > best_val:
+                best_row, best_val = idx[b], float(vals[b])
+        return Sequence(tuple(universe[i] for i in best_row)), best_val
 
     gen = (itertools.product(range(n), repeat=k) if allow_repeats
            else itertools.permutations(range(n), k))
-
-    if objective is None:
-        idx = np.fromiter(
-            (i for tup in gen for i in tup), dtype=np.int64
-        ).reshape(-1, k)
-        core = inst.dense
-        M = core.Q[[core.row[e] for e in universe]]
-        Q = np.zeros((idx.shape[0], M.shape[1]))
-        for j in range(k):
-            Q += core.w[j] * M[idx[:, j]]
-        vals = measure.value_batch(core.p, Q)
-        best = int(np.argmax(vals))  # first max = lexicographically smallest
-        seq = Sequence(tuple(universe[i] for i in idx[best]))
-        return seq, float(vals[best])
-
     best_seq, best_val = None, -math.inf
     for tup in gen:
         seq = Sequence(tuple(universe[i] for i in tup))

@@ -158,10 +158,7 @@ def test_criterion_4_sequence_greedy_one_half():
 
 
 def test_criterion_5_continuous_pipeline_one_minus_1_over_e():
-    # The documented solver defaults (100 steps, 200 samples) exceed the
-    # runtime budget in pure python at 250 runs, so this suite uses 30/30,
-    # which the quality margin comfortably tolerates (observed per-instance
-    # medians stay above 0.90 against a 0.612 threshold).
+    # The documented solver defaults: 100 steps, 200 samples per step.
     start = time.perf_counter()
     failures = []
     G = hellinger_squared()
@@ -173,7 +170,7 @@ def test_criterion_5_continuous_pipeline_one_minus_1_over_e():
         _, opt = exhaustive_opt(inst, measure=G)
         ratios = []
         for s in range(5):
-            _, val = solve_distributional(inst, G, steps=30, samples=30,
+            _, val = solve_distributional(inst, G, steps=100, samples=200,
                                           seed=100 + s)
             ratios.append(val / opt if opt > 0 else 1.0)
         med = statistics.median(ratios)

@@ -145,6 +145,20 @@ class TestSolve:
         assert main(["solve", str(path)]) == 1
         assert "expected a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["continuous", "continuous-repeats"])
+    def test_negative_seed_rejected(self, instance_file, capsys, algorithm):
+        assert main(["solve", instance_file, "--algorithm", algorithm,
+                     "--seed", "-1", "--steps", "2", "--samples", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+
+    def test_non_string_item_id_rejected(self, tmp_path, capsys):
+        data = instance_to_dict(make_instance())
+        data["items"][0]["id"] = None
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path), "--machine"]) == 1
+        assert capsys.readouterr().err.startswith("error: item id: expected a string")
+
 
 class TestVerify:
     def test_axioms_pass_for_hellinger(self, capsys):
@@ -176,12 +190,16 @@ class TestVerify:
         assert record["passed"] is True
         assert record["min_ratio"] >= record["threshold"]
 
-
     def test_discrete_greedy_ratios_are_hellinger_only(self, capsys):
         assert main(["verify", "--suite", "ratios", "--algorithm",
                      "discrete-greedy", "--measure", "power:0.5",
                      "--n", "5"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["verify", "--suite", "ratios", "--algorithm", "continuous",
+                     "--seed", "-1", "--n", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
 
 
 class TestRepro:
@@ -230,6 +248,7 @@ def test_closed_stdout_exits_quietly(argv):
 
 _BAD_VALUES = [None, True, "abc", "", [], {}, 0, 5, -1.0, 10 ** 400,
                math.nan, math.inf, -math.inf, [0.5, 0.5], {"g1": 1.0}]
+_NON_STRINGS = [None, True, 0, 1.5, ["g1"], {"g1": 1.0}]
 
 
 def _locations(doc, path=()):
@@ -262,8 +281,12 @@ def perturbed_documents(draw):
             ops.append("duplicate")
         if isinstance(value, float):
             ops.append("nudge")
+        if isinstance(value, str):  # an item id, a genre id or the mode
+            ops.append("non-string")
         op = draw(st.sampled_from(ops))
-        if op == "replace":
+        if op == "non-string":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_NON_STRINGS)))
+        elif op == "replace":
             parent[key] = copy.deepcopy(draw(st.sampled_from(_BAD_VALUES)))
         elif op == "delete":
             del parent[key]
@@ -293,6 +316,9 @@ def test_fuzzed_instance_files_solve_or_exit_1(doc):
     if rc == 0:
         record = json.loads(out.getvalue())
         assert inst is not None
+        loaded = instance_to_dict(inst)  # ids load as written, not coerced
+        assert [e["id"] for e in loaded["items"]] == [e["id"] for e in doc["items"]]
+        assert (loaded["genres"], loaded["mode"]) == (doc["genres"], doc["mode"])
         recheck = seq_objective(hellinger_squared(),
                                 Sequence(tuple(record["sequence"])), inst)
         assert abs(recheck - record["value"]) <= 1e-12

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from caliblist.core import (
+    CustomMeasure,
     Instance,
     ItemPositionSet,
     PositionWeights,
@@ -27,7 +28,16 @@ from caliblist.core import (
     seq_objective,
     validate_instance,
 )
-from caliblist.matroid import fg_function, hatfg_function
+from caliblist import matroid
+from caliblist.matroid import (
+    LaminarMatroid,
+    PartitionMatroid,
+    _mean_gains_by_call,
+    continuous_greedy,
+    fg_function,
+    hatfg_function,
+)
+from caliblist.repro import GenParams, generate_instances
 
 from test_core import make_instance
 
@@ -181,6 +191,78 @@ def test_lists_sets_and_closures_share_one_formula(inst, G, data):
     R = ItemPositionSet(S)
     assert fg_function(G, inst)(S) == fg_set(G, R, inst)
     assert hatfg_function(G, inst)(S) == hatfg_set(G, R, inst)
+
+
+# ---------------------------------------------------------------------------
+# Batched continuous-greedy gains
+# ---------------------------------------------------------------------------
+
+
+def _sampled_sets(ground, samples, seed):
+    rng = np.random.default_rng(seed)
+    return rng.random((samples, len(ground))) < rng.random(len(ground))
+
+
+@given(instances(), measures, st.booleans(), st.integers(1, 12),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_batched_gains_match_the_per_call_loop(inst, G, first_only, samples, seed):
+    F = (fg_function if first_only else hatfg_function)(G, inst)
+    ground = PartitionMatroid(inst.item_ids, inst.k).ground_set()
+    S = _sampled_sets(ground, samples, seed)
+    np.testing.assert_allclose(F.mean_gains(ground, S),
+                               _mean_gains_by_call(F, ground, S),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("function", [fg_function, hatfg_function])
+def test_batched_gains_evaluate_over_the_support_union(function):
+    # this measure counts the genres it is given, so it sees the difference
+    # between the union of supports and the full genre list
+    G = CustomMeasure("union-size", lambda p, q: len(p) + np.sum(np.sqrt(p * q)))
+    inst = validate_instance(Instance(
+        genres=("g1", "g2", "g3", "g4"),
+        target=Subdistribution({"g1": 0.5, "g2": 0.5}),
+        items=(("a", Subdistribution({"g1": 1.0})),
+               ("b", Subdistribution({"g3": 1.0})),
+               ("c", Subdistribution({"g2": 0.5, "g4": 0.5}))),
+        weights=PositionWeights((0.5, 0.3, 0.2))))
+    F = function(G, inst)
+    ground = PartitionMatroid(inst.item_ids, inst.k).ground_set()
+    S = _sampled_sets(ground, 10, 50)
+    np.testing.assert_allclose(F.mean_gains(ground, S),
+                               _mean_gains_by_call(F, ground, S),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("function", [fg_function, hatfg_function])
+def test_gains_do_not_depend_on_the_chunk_size(monkeypatch, function):
+    inst = generate_instances(GenParams(min_items=6, max_items=6, max_k=4),
+                              "distributional", seed=51, n=1)[0]
+    F = function(power(0.5), inst)
+    ground = PartitionMatroid(inst.item_ids, inst.k).ground_set()
+    S = _sampled_sets(ground, 9, 52)
+    whole = F.mean_gains(ground, S)
+    monkeypatch.setattr(matroid, "_CHUNK_BYTES", 1)  # one sample per chunk
+    np.testing.assert_allclose(F.mean_gains(ground, S), whole, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["distributional", "discrete"])
+def test_continuous_greedy_same_point_from_closure_and_plain_callable(mode):
+    # A plain callable takes the per-call path; the closure the batched one.
+    insts = generate_instances(GenParams(max_items=6, max_k=4), mode,
+                               seed=53, n=6)
+    for inst, G in zip(insts, [hellinger_squared(), power(0.5)] * 3):
+        cases = [(PartitionMatroid, hatfg_function)]
+        if mode == "distributional":
+            cases.append((LaminarMatroid, fg_function))
+        for cls, function in cases:
+            m = cls(inst.item_ids, inst.k)
+            F = function(G, inst)
+            batched = continuous_greedy(F, m, steps=6, samples=8, seed=54)
+            by_call = continuous_greedy(lambda S: F(S), m, steps=6, samples=8,
+                                        seed=54)
+            assert batched.x == by_call.x
 
 
 @given(instances())

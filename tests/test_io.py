@@ -72,3 +72,19 @@ def test_malformed_json_reported(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValidationError, match="cannot parse"):
         load_instance(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("id", None), ("id", 7), ("id", ["a"]), ("genre", 1), ("genre", None),
+    ("mode", 0), ("mode", None)])
+def test_non_string_ids_rejected(field, value):
+    # they used to load as the strings "None", "7", "['a']", ...
+    data = instance_to_dict(make_instance())
+    if field == "id":
+        data["items"][0]["id"] = value
+    elif field == "genre":
+        data["genres"][0] = value
+    else:
+        data["mode"] = value
+    with pytest.raises(ValidationError, match="expected a string"):
+        instance_from_dict(data)

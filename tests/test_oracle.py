@@ -1,9 +1,11 @@
 """Unit tests for exhaustive search and the randomized property checkers."""
 
 import math
+import tracemalloc
 
 import pytest
 
+from caliblist import oracle
 from caliblist.core import (
     Sequence,
     ValidationError,
@@ -49,6 +51,46 @@ class TestExhaustiveOpt:
         inst = discrete_instance({"g1": 0.5, "g2": 0.5}, (1.0,))
         seq, _ = exhaustive_opt(inst, measure=hellinger_squared())
         assert seq.entries == ("g1",)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_first_max_kept_across_block_boundaries(self, monkeypatch, block):
+        # Every list of two distinct genres ties under uniform weights; the
+        # winner (g1, g2) must survive the ties in later blocks.
+        inst = discrete_instance({"g1": 0.5, "g2": 0.5}, (0.5, 0.5))
+        twins = type(inst)(  # the permutation path, with tied twin items
+            genres=inst.genres, target=inst.target,
+            items=(("a", inst.items[0][1]), ("b", inst.items[1][1]),
+                   ("c", inst.items[0][1])),
+            weights=inst.weights, mode="distributional")
+        G = hellinger_squared()
+        want = [exhaustive_opt(i, measure=G) for i in (inst, twins)]
+        assert [s.entries for s, _ in want] == [("g1", "g2"), ("a", "b")]
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        assert [exhaustive_opt(i, measure=G) for i in (inst, twins)] == want
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_blocked_search_equals_one_block(self, monkeypatch, block):
+        insts = (generate_instances(GenParams(max_genres=4, max_k=4),
+                                    "discrete", seed=43, n=10)
+                 + generate_instances(GenParams(max_items=6, max_k=4),
+                                      "distributional", seed=44, n=10))
+        G = power(0.5)
+        want = [exhaustive_opt(inst, measure=G) for inst in insts]
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        assert [exhaustive_opt(inst, measure=G) for inst in insts] == want
+
+    def test_memory_stays_bounded_on_a_large_search(self):
+        # 6 genres, k = 8: 1.68 M candidates, which took ~390 MB in one block
+        [inst] = generate_instances(
+            GenParams(min_genres=6, max_genres=6, min_k=8, max_k=8),
+            "discrete", seed=45, n=1)
+        tracemalloc.start()
+        try:
+            exhaustive_opt(inst, measure=hellinger_squared())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
 
     def test_requires_exactly_one_objective(self):
         inst = make_instance()
