@@ -5,6 +5,12 @@ with the largest marginal objective gain (1/2-approximate for
 ordered-submodular objectives), and a specialized discrete-genre greedy that
 packs position weight into genre bins using closed-form square-root gains
 (2/3-approximate under the squared-Hellinger overlap).
+
+The sequence greedy scores all candidates of a position in one batch on
+``Instance.dense`` when the objective is the package's own
+:class:`ListObjective` (what :func:`sequence_objective_fn` returns); any
+other callable is called once per candidate. Both give the same list,
+gains and runner-ups, bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from .core import (
     Instance,
@@ -25,6 +33,7 @@ from .core import (
 __all__ = [
     "GreedyStep",
     "GreedyTrace",
+    "ListObjective",
     "greedy_sequence",
     "discrete_greedy",
     "discrete_objective",
@@ -58,9 +67,48 @@ class GreedyTrace:
         return [s.gain for s in self.steps]
 
 
-def sequence_objective_fn(G: OverlapMeasure, inst: Instance) -> Callable[[Sequence], float]:
+@dataclass(frozen=True, eq=False)
+class ListObjective:
+    """``seq_objective`` of one measure and instance, called on a list."""
+
+    G: OverlapMeasure
+    inst: Instance
+
+    def __call__(self, seq: Sequence) -> float:
+        return seq_objective(self.G, seq, self.inst)
+
+    def extension_values(self, seq: Sequence, elements: list[str]) -> np.ndarray:
+        """``self(seq.append(e))`` for each element e, in one evaluation.
+
+        The prefix mixture plus ``w_j · Q_e`` adds in the order of
+        :meth:`DenseCore.mixture`, so every value equals the call's.
+        """
+        core, k = self.inst.dense, self.inst.k
+        if len(seq) >= k:
+            raise ValidationError(f"sequence longer than k={k}")
+        q = core.mixture([core.row[e] for e in seq], core.w[:len(seq)])
+        rows = [core.row[e] for e in elements]
+        return core.values(self.G, q + core.w[len(seq)] * core.Q.take(rows, 0))
+
+
+def sequence_objective_fn(G: OverlapMeasure, inst: Instance) -> ListObjective:
     """Wrap ``seq_objective`` as a single-argument objective."""
-    return lambda seq: seq_objective(G, seq, inst)
+    return ListObjective(G, inst)
+
+
+def _best_two(vals: np.ndarray) -> tuple[int | None, int | None]:
+    """Indices of the first strict maximum and of the first maximum of the rest.
+
+    These are what a scan keeps with ``if v > best: ... elif v > runner:``
+    from -inf: NaN and -inf are never kept.
+    """
+    v = np.where(vals > -np.inf, vals, -np.inf)
+    b = int(np.argmax(v))
+    if v[b] == -np.inf:
+        return None, None
+    v[b] = -np.inf
+    r = int(np.argmax(v))
+    return b, (r if v[r] > -np.inf else None)
 
 
 def greedy_sequence(
@@ -73,37 +121,44 @@ def greedy_sequence(
 
     Ties break toward the lexicographically smallest element. Raises
     :class:`ValidationError` if the universe runs out before k picks when
-    repeats are disallowed.
+    repeats are disallowed. A :class:`ListObjective` scores each position's
+    candidates in one batch; any other callable is called once per
+    candidate.
     """
     if k < 1:
         raise ValidationError("k must be at least 1")
     if not universe:
         raise ValidationError("empty universe")
     elements = sorted(universe)
+    if isinstance(objective, ListObjective):
+        score = objective.extension_values
+    else:
+        score = lambda seq, candidates: [objective(seq.append(e)) for e in candidates]
     seq = Sequence()
+    used: set[str] = set()
     trace = GreedyTrace()
     current = objective(seq)
     for pos in range(1, k + 1):
         candidates = elements if allow_repeats else [
-            e for e in elements if e not in seq.entries]
+            e for e in elements if e not in used]
         if not candidates:
             raise ValidationError(f"universe exhausted at position {pos}")
+        vals = np.array(score(seq, candidates), dtype=float)
+        b, r = _best_two(vals)
         best = runner = None
         best_val = runner_val = -math.inf
-        for e in candidates:
-            val = objective(seq.append(e))
-            if val > best_val:
-                runner, runner_val = best, best_val
-                best, best_val = e, val
-            elif val > runner_val:
-                runner, runner_val = e, val
+        if b is not None:
+            best, best_val = candidates[b], float(vals[b])
+        if r is not None:
+            runner, runner_val = candidates[r], float(vals[r])
         # Objectives may use -inf as an "undefined on this prefix" sentinel
         # (e.g. log-of-mixture scores on the empty list); gains are then
         # reported relative to zero.
         base = current if math.isfinite(current) else 0.0
         trace.record(GreedyStep(pos, best, best_val - base,
-                                runner, runner_val - base if runner else -math.inf))
+                                runner, runner_val - base))
         seq = seq.append(best)
+        used.add(best)
         current = best_val
     return seq, trace
 

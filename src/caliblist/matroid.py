@@ -102,13 +102,21 @@ Matroid = PartitionMatroid | LaminarMatroid
 
 
 def max_weight_basis(m: Matroid, weights: dict[Pair, float]) -> frozenset:
-    """Matroid greedy: scan pairs by decreasing weight, keep what fits."""
+    """Matroid greedy: scan pairs by decreasing weight, keep what fits.
+
+    Whether a pair fits depends only on the chosen set's per-position
+    counts, which are kept as the scan goes.
+    """
     chosen: set[Pair] = set()
+    counts = [0] * (m.k + 1)
     for e in sorted(m.ground_set(), key=lambda e: (-weights.get(e, 0.0), e)):
-        if m.independent(chosen | {e}):
-            chosen.add(e)
-            if len(chosen) == m.basis_size():
-                break
+        counts[e[1]] += 1
+        if not m.fits(counts):
+            counts[e[1]] -= 1
+            continue
+        chosen.add(e)
+        if len(chosen) == m.basis_size():
+            break
     return frozenset(chosen)
 
 
@@ -130,21 +138,16 @@ class FractionalPoint:
         return m.fits(sums, tol)
 
 
-def _sample_set(rng: np.random.Generator, pairs: list[Pair], probs: np.ndarray) -> frozenset:
-    mask = rng.random(len(pairs)) < probs
-    return frozenset(e for e, m_ in zip(pairs, mask) if m_)
-
-
 def multilinear_estimate(F: SetFunction, x: FractionalPoint, samples: int, seed: int) -> float:
     """Monte-Carlo estimate of E[F(R(x))] with independent pair inclusion."""
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     pairs = sorted(x.x)
     probs = np.array([x.x[e] for e in pairs])
-    rng = np.random.default_rng(seed)
+    S = np.random.default_rng(seed).random((samples, len(pairs))) < probs
     total = 0.0
-    for _ in range(samples):
-        total += F(_sample_set(rng, pairs, probs))
+    for row in S.tolist():
+        total += F(frozenset(e for e, inside in zip(pairs, row) if inside))
     return total / samples
 
 

@@ -82,8 +82,10 @@ def exhaustive_opt(
 
     The universe is the genre set in discrete mode (repeats allowed by
     default) and the item catalog otherwise (repeats disallowed by
-    default). Ties go to the lexicographically smallest sequence. Raises
-    :class:`ValidationError` when the search space exceeds 10^7 lists.
+    default). Ties go to the lexicographically smallest sequence. With a
+    measure, the value equals ``seq_objective`` of the returned list, bit
+    for bit. Raises :class:`ValidationError` when the search space exceeds
+    10^7 lists.
     """
     if (measure is None) == (objective is None):
         raise ValidationError("pass exactly one of measure or objective")
@@ -100,13 +102,15 @@ def exhaustive_opt(
 
     if objective is None:
         core = inst.dense
-        M = core.Q[[core.row[e] for e in universe]]
+        # WM[j] holds w_j times each element's row: each position is one
+        # gather, added in the order of DenseCore.mixture
+        WM = core.w[:, None, None] * core.Q[[core.row[e] for e in universe]]
         best_row, best_val = None, -math.inf
         for idx in _index_blocks(n, k, allow_repeats, count):
-            Q = np.zeros((idx.shape[0], M.shape[1]))
-            for j in range(k):
-                Q += core.w[j] * M[idx[:, j]]
-            vals = measure.value_batch(core.p, Q)
+            Q = WM[0].take(idx[:, 0], 0)
+            for j in range(1, k):
+                Q += WM[j].take(idx[:, j], 0)
+            vals = core.values(measure, Q)
             b = int(np.argmax(vals))  # first max = lexicographically smallest
             if best_row is None or vals[b] > best_val:
                 best_row, best_val = idx[b], float(vals[b])

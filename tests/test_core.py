@@ -207,7 +207,7 @@ class TestHellinger:
         Q = rng.uniform(0, 1, (8, 4))
         batch = G.value_batch(p, Q)
         for row, expect in zip(Q, batch):
-            assert G.value(p, row) == pytest.approx(expect, abs=1e-12)
+            assert G.value(p, row) == expect
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -243,8 +243,44 @@ class TestPower:
         p = rng.uniform(0.1, 1, 3)
         p /= p.sum()
         Q = rng.uniform(0, 1, (6, 3))
-        assert G.value_batch(p, Q) == pytest.approx(
-            [G.value(p, q) for q in Q], abs=1e-12)
+        assert G.value_batch(p, Q).tolist() == [G.value(p, q) for q in Q]
+
+
+def _target_and_rows(seed, n_genres, n_rows):
+    """A target and subdistribution rows, each with some zero masses."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0, 1, n_genres) * (rng.random(n_genres) > 0.2)
+    p[rng.integers(n_genres)] += 0.1
+    Q = rng.uniform(0, 1, (n_rows, n_genres)) * (rng.random((n_rows, n_genres)) > 0.2)
+    Q *= rng.uniform(0.1, 1, (n_rows, 1)) / np.maximum(Q.sum(1, keepdims=True), 1e-9)
+    return p / p.sum(), Q
+
+
+batch_measures = st.sampled_from([hellinger_squared(), power(0.25), power(0.5),
+                                  power(0.75)])
+
+
+class TestValueBatch:
+    """``value_batch`` must equal ``value`` on every row, bit for bit, so
+    that batched solvers make the same choices and report the same values
+    as one call per candidate."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 40), batch_measures)
+    @settings(max_examples=120, deadline=None)
+    def test_every_row_equals_value(self, seed, n_genres, G):
+        p, Q = _target_and_rows(seed, n_genres, 300)
+        assert G.value_batch(p, Q).tolist() == [G.value(p, q) for q in Q]
+
+    @pytest.mark.parametrize("n_genres", [5, 8, 12, 20])
+    @pytest.mark.parametrize("G", [hellinger_squared(), power(0.3)],
+                             ids=["hellinger", "power"])
+    def test_values_do_not_depend_on_the_batch_layout(self, n_genres, G):
+        p, Q = _target_and_rows(n_genres, n_genres, 8192)
+        repeated = G.value_batch(p, np.tile(Q[0], (30_000, 1)))
+        assert np.unique(repeated).tolist() == [G.value(p, Q[0])]
+        blocks = np.concatenate([G.value_batch(p, Q[s:s + 4096])
+                                 for s in range(0, len(Q), 4096)])
+        assert blocks.tolist() == G.value_batch(p, Q).tolist()
 
 
 class TestFDivergence:

@@ -29,6 +29,7 @@ from caliblist.core import (
     validate_instance,
 )
 from caliblist import matroid
+from caliblist.greedy import truncate_instance
 from caliblist.matroid import (
     LaminarMatroid,
     PartitionMatroid,
@@ -37,6 +38,7 @@ from caliblist.matroid import (
     fg_function,
     hatfg_function,
 )
+from caliblist.oracle import exhaustive_opt
 from caliblist.repro import GenParams, generate_instances
 
 from test_core import make_instance
@@ -141,6 +143,11 @@ def reversed_items(inst):
 measures = st.one_of(st.just(hellinger_squared()),
                      st.sampled_from([0.25, 0.5, 0.75]).map(power))
 
+# counts the genres it is given, so it sees the difference between the
+# union of supports and the full genre list
+UNION_SIZE = CustomMeasure("union-size",
+                           lambda p, q: len(p) + np.sum(np.sqrt(p * q)))
+
 
 def _elements(inst):
     ids = list(inst.item_ids)
@@ -193,6 +200,27 @@ def test_lists_sets_and_closures_share_one_formula(inst, G, data):
     assert hatfg_function(G, inst)(S) == hatfg_set(G, R, inst)
 
 
+@given(instances(n_genres=(1, 14)), st.one_of(measures, st.just(UNION_SIZE)),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_values_equal_value_on_every_row(inst, G, seed):
+    # partial-support targets group the rows by their support union
+    core = inst.dense
+    rng = np.random.default_rng(seed)
+    W = rng.random((60, len(core.Q))) * (rng.random((60, len(core.Q))) < 0.3)
+    qs = W @ core.Q
+    assert core.values(G, qs).tolist() == [core.value(G, q) for q in qs]
+
+
+@given(instances(n_genres=(1, 14)), measures)
+@settings(max_examples=150, deadline=None)
+def test_exhaustive_value_is_the_objective_of_its_list(inst, G):
+    inst = truncate_instance(inst, min(inst.k, 3))
+    assume(inst.mode == "discrete" or len(inst.items) >= inst.k)
+    seq, value = exhaustive_opt(inst, measure=G)
+    assert value == seq_objective(G, seq, inst)
+
+
 # ---------------------------------------------------------------------------
 # Batched continuous-greedy gains
 # ---------------------------------------------------------------------------
@@ -217,9 +245,7 @@ def test_batched_gains_match_the_per_call_loop(inst, G, first_only, samples, see
 
 @pytest.mark.parametrize("function", [fg_function, hatfg_function])
 def test_batched_gains_evaluate_over_the_support_union(function):
-    # this measure counts the genres it is given, so it sees the difference
-    # between the union of supports and the full genre list
-    G = CustomMeasure("union-size", lambda p, q: len(p) + np.sum(np.sqrt(p * q)))
+    G = UNION_SIZE
     inst = validate_instance(Instance(
         genres=("g1", "g2", "g3", "g4"),
         target=Subdistribution({"g1": 0.5, "g2": 0.5}),

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caliblist.core import (
     Instance,
@@ -11,9 +13,12 @@ from caliblist.core import (
     Subdistribution,
     ValidationError,
     hellinger_squared,
+    seq_objective,
     validate_instance,
 )
 from caliblist.greedy import (
+    GreedyStep,
+    GreedyTrace,
     best_length_solve,
     discrete_greedy,
     discrete_objective,
@@ -23,6 +28,8 @@ from caliblist.greedy import (
 )
 from caliblist.oracle import exhaustive_opt
 from caliblist.repro import GenParams, generate_instances
+
+from test_dense import UNION_SIZE, instances, measures
 
 
 def discrete_instance(target, weights):
@@ -126,6 +133,92 @@ class TestGreedySequence:
         with pytest.raises(ValidationError):
             greedy_sequence(lambda s: math.inf if len(s) else 0.0,
                             ["a", "b"], k=1)
+
+
+def _outcome(objective, universe, k, allow_repeats):
+    """The list and steps of a greedy run, or the message it raised."""
+    try:
+        return greedy_sequence(objective, universe, k, allow_repeats)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@st.composite
+def tied_instances(draw, n_genres):
+    """Instances, some of whose items are exact copies of others."""
+    inst = draw(instances(n_genres=n_genres))
+    copies = draw(st.lists(st.sampled_from(inst.items), max_size=4))
+    items = inst.items + tuple((f"{i}-copy{n}", d) for n, (i, d) in enumerate(copies))
+    return Instance(inst.genres, inst.target, items, inst.weights, inst.mode)
+
+
+class TestBatchedGreedy:
+    """The batched path must make the loop's choices with the loop's values."""
+
+    @given(st.one_of(tied_instances((1, 7)), tied_instances((8, 14))),
+           st.one_of(measures, st.just(UNION_SIZE)), st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_list_and_steps_as_one_call_per_candidate(
+            self, inst, G, allow_repeats, data):
+        # k one past the instance's own reaches its length error
+        k = data.draw(st.integers(1, inst.k + 1))
+        universe = list(inst.universe())
+        batched = _outcome(sequence_objective_fn(G, inst), universe, k, allow_repeats)
+        by_call = _outcome(lambda s: seq_objective(G, s, inst), universe, k,
+                           allow_repeats)
+        assert batched == by_call
+
+    def test_length_and_exhaustion_errors_match(self):
+        inst = generate_instances(GenParams(min_items=3, max_items=3, min_k=2,
+                                            max_k=2), "distributional",
+                                  seed=31, n=1)[0]
+        G = hellinger_squared()
+        universe = list(inst.universe())
+        for elements, allow_repeats, message in (
+                (universe, True, "sequence longer than k=2"),
+                (universe[:2], False, "universe exhausted at position 3")):
+            for objective in (sequence_objective_fn(G, inst),
+                              lambda s: seq_objective(G, s, inst)):
+                with pytest.raises(ValidationError, match=message):
+                    greedy_sequence(objective, elements, 3, allow_repeats)
+
+    def test_empty_id_runner_up_keeps_its_gain(self):
+        _, trace = greedy_sequence(lambda s: {"": 0.25, "a": 0.5}[s[-1]] if s else 0.0,
+                                   ["", "a"], k=1)
+        assert trace.steps == [GreedyStep(1, "a", 0.5, "", 0.25)]
+
+    @given(st.integers(1, 5), st.integers(1, 4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_tie_rule_is_the_scan_with_strict_comparisons(self, n, k, data):
+        # the reference is a scan keeping ``if v > best`` / ``elif v > runner``
+        values = [0.0, 0.25, 0.5, -math.inf, math.nan, math.inf]
+        table = data.draw(st.lists(st.sampled_from(values), min_size=n * k,
+                                   max_size=n * k))
+        elements = [f"e{i}" for i in range(n)]
+        f = lambda s: table[(len(s) - 1) * n + elements.index(s[-1])] if s else 0.0
+
+        def scan():
+            seq, trace, current = Sequence(), GreedyTrace(), f(Sequence())
+            for pos in range(1, k + 1):
+                best = runner = None
+                best_val = runner_val = -math.inf
+                for e in elements:
+                    val = f(seq.append(e))
+                    if val > best_val:
+                        runner, runner_val = best, best_val
+                        best, best_val = e, val
+                    elif val > runner_val:
+                        runner, runner_val = e, val
+                trace.record(GreedyStep(pos, best, best_val - current, runner,
+                                        runner_val - current))
+                seq, current = seq.append(best), best_val
+            return seq, trace
+
+        try:
+            want = scan()
+        except ValidationError as exc:
+            want = str(exc)
+        assert _outcome(f, elements, k, True) == want
 
 
 class TestBestLength:

@@ -83,6 +83,26 @@ class TestMaxWeightBasis:
         m = PartitionMatroid(("a",), 1)
         assert max_weight_basis(m, {}) == frozenset({("a", 1)})
 
+    @pytest.mark.parametrize("cls", [PartitionMatroid, LaminarMatroid])
+    def test_same_basis_as_recounting_each_candidate(self, cls):
+        def recounted(m, weights):
+            chosen = set()
+            for e in sorted(m.ground_set(), key=lambda e: (-weights.get(e, 0.0), e)):
+                if m.independent(chosen | {e}):
+                    chosen.add(e)
+                    if len(chosen) == m.basis_size():
+                        break
+            return frozenset(chosen)
+
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            m = cls(tuple(f"i{n}" for n in range(rng.integers(1, 7))),
+                    int(rng.integers(1, 6)))
+            # coarse weights tie often; some pairs have none
+            weights = {e: float(rng.integers(-1, 4)) for e in m.ground_set()
+                       if rng.random() < 0.8}
+            assert max_weight_basis(m, weights) == recounted(m, weights)
+
 
 class TestFractionalPoint:
     def test_coordinates_outside_unit_interval_rejected(self):

@@ -41,6 +41,19 @@ class TestExhaustiveOpt:
             assert fast_seq.entries == slow_seq.entries
             assert fast_val == pytest.approx(slow_val, abs=1e-12)
 
+    @pytest.mark.parametrize("mode, params, seed", [
+        ("discrete", GenParams(max_genres=5, max_k=8), 7),
+        ("distributional", GenParams(max_items=6, max_k=5), 11),
+        ("distributional", GenParams(min_items=2, max_items=6, max_k=4), 5),
+    ], ids=["criterion-3", "criterion-4", "criterion-5"])
+    def test_value_is_the_objective_of_the_returned_list(self, mode, params, seed):
+        # the batch adds and sums in the order of seq_objective, so the
+        # reported optimum is the list's value to the last bit
+        for inst in generate_instances(params, mode, seed=seed, n=60):
+            for G in (hellinger_squared(), power(0.25), power(0.75)):
+                seq, value = exhaustive_opt(inst, measure=G)
+                assert value == seq_objective(G, seq, inst)
+
     def test_discrete_mode_searches_genres_with_repeats(self):
         inst = discrete_instance({"g1": 0.5, "g2": 0.5}, (0.5, 0.3, 0.2))
         seq, val = exhaustive_opt(inst, measure=hellinger_squared())
