@@ -38,6 +38,7 @@ from .oracle import (
     check_mdr,
     check_ordered_submodular,
     check_overlap_axioms,
+    check_set_to_sequence,
     exhaustive_opt,
     ratio_report,
 )

@@ -1,15 +1,15 @@
 """Command-line front end.
 
 Commands: ``solve`` (run an algorithm on an instance file), ``verify``
-(property suites), ``repro`` (fixed case-study tables), ``bench`` (alias
-for the ratio suite). Exit codes: 0 success, 1 parse/validation error,
-2 check failure.
+(property suites), ``repro`` (fixed case-study tables). Exit codes: 0
+success, 1 parse/validation error, 2 check failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -191,7 +191,10 @@ def cmd_verify(args) -> int:
                 worst = worst or res.counterexample
         out.update(passed=passed, violations=violations, counterexample=worst)
     elif suite == "prop41":
-        out.update(_verify_prop41(args))
+        res = oracle_mod.check_set_to_sequence(
+            parse_measure(args.measure), trials=args.n, seed=seed)
+        out.update(passed=res.passed, violations=res.violations,
+                   counterexample=res.counterexample)
     elif suite == "ratios":
         out.update(_verify_ratios(args))
     else:
@@ -208,72 +211,27 @@ def cmd_verify(args) -> int:
     return 0 if passed else 2
 
 
-def _verify_prop41(args) -> dict:
-    import numpy as np
-
-    from .core import ItemPositionSet, fg_set
-    from .matroid import LaminarMatroid, set_to_sequence
-
-    G = parse_measure(args.measure)
-    rng = np.random.default_rng(args.seed)
-    insts = repro_mod.generate_instances(
-        repro_mod.GenParams(min_items=4, max_items=6, max_k=4),
-        "distributional", seed=args.seed, n=args.n)
-    violations = 0
-    counterexample = None
-    for inst in insts:
-        m = LaminarMatroid(inst.item_ids, inst.k)
-        pairs = m.ground_set()
-        rng.shuffle(pairs)
-        basis: set = set()
-        for e in pairs:
-            if m.independent(basis | {e}):
-                basis.add(e)
-                if len(basis) == inst.k:
-                    break
-        R = ItemPositionSet(frozenset(basis))
-        seq = set_to_sequence(R, inst, G)
-        if seq_objective(G, seq, inst) < fg_set(G, R, inst) - 1e-12:
-            violations += 1
-            counterexample = counterexample or {
-                "basis": sorted(R.pairs), "sequence": list(seq.entries)}
-    return {"passed": violations == 0, "violations": violations,
-            "counterexample": counterexample}
+# Each ratio suite's instance generator (bounds, mode), pass threshold and
+# the statistic compared with it.
+_RATIO_SUITES = {
+    "discrete-greedy": (repro_mod.GenParams(max_genres=5, max_k=6), "discrete",
+                        2 / 3 - 1e-9, "min_ratio"),
+    "greedy": (repro_mod.GenParams(max_items=6, max_k=4), "distributional",
+               0.5 - 1e-9, "min_ratio"),
+    "continuous": (repro_mod.GenParams(min_items=3, max_items=5, max_k=3),
+                   "distributional", 1 - 1 / math.e - 0.02, "median_ratio"),
+}
 
 
 def _verify_ratios(args) -> dict:
     G = _solver_measure(args)
-    if args.algorithm == "discrete-greedy":
-        gen = lambda seed, n: repro_mod.generate_instances(
-            repro_mod.GenParams(max_genres=5, max_k=6), "discrete", seed, n)
-        alg = lambda inst: (
-            lambda sv: (sv[0], greedy_mod.discrete_objective(inst)(sv[0]))
-        )(greedy_mod.discrete_greedy(inst))
-        threshold = 2 / 3 - 1e-9
-        stat = "min_ratio"
-    elif args.algorithm == "greedy":
-        def alg(inst):
-            objective = greedy_mod.sequence_objective_fn(G, inst)
-            seq, _ = greedy_mod.greedy_sequence(
-                objective, list(inst.universe()), inst.k,
-                allow_repeats=inst.mode == "discrete")
-            return seq, objective(seq)
-        gen = lambda seed, n: repro_mod.generate_instances(
-            repro_mod.GenParams(max_items=6, max_k=4), "distributional", seed, n)
-        threshold = 0.5 - 1e-9
-        stat = "min_ratio"
-    elif args.algorithm == "continuous":
-        alg = lambda inst: matroid_mod.solve_distributional(
-            inst, G, steps=args.steps, samples=args.samples, seed=args.seed)
-        gen = lambda seed, n: repro_mod.generate_instances(
-            repro_mod.GenParams(min_items=3, max_items=5, max_k=3),
-            "distributional", seed, n)
-        import math
-        threshold = 1 - 1 / math.e - 0.02
-        stat = "median_ratio"
-    else:
+    if args.algorithm not in _RATIO_SUITES:
         raise ValidationError(f"unknown algorithm {args.algorithm!r}")
-    report = oracle_mod.ratio_report(alg, G, gen, n=args.n, seed=args.seed)
+    params, mode, threshold, stat = _RATIO_SUITES[args.algorithm]
+    report = oracle_mod.ratio_report(
+        lambda inst: _solve_one(inst, args, G)[:2], G,
+        lambda seed, n: repro_mod.generate_instances(params, mode, seed, n),
+        n=args.n, seed=args.seed)
     result = report.as_dict()
     result["passed"] = result[stat] >= threshold
     result["threshold"] = threshold
@@ -329,19 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", required=True,
                         choices=["axioms", "mdr", "ordered-submodular",
                                  "prop41", "ratios"])
-    bench = sub.add_parser("bench", help="alias for verify --suite ratios")
-    bench.set_defaults(suite="ratios")
-    for p in (verify, bench):
-        p.add_argument("--measure", default="hellinger")
-        p.add_argument("--algorithm", default="discrete-greedy")
-        p.add_argument("--n", type=int, default=200)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--steps", type=int, default=40)
-        p.add_argument("--samples", type=int, default=40)
-        p.add_argument("--out", default=None,
-                       help="write the first counterexample to this file")
-        p.add_argument("--machine", action="store_true")
-        p.set_defaults(fn=cmd_verify)
+    verify.add_argument("--measure", default="hellinger")
+    verify.add_argument("--algorithm", default="discrete-greedy")
+    verify.add_argument("--n", type=int, default=200)
+    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    verify.add_argument("--steps", type=int, default=40)
+    verify.add_argument("--samples", type=int, default=40)
+    verify.add_argument("--out", default=None,
+                        help="write the first counterexample to this file")
+    verify.add_argument("--machine", action="store_true")
+    # no --allow-repeats here: _solve_one allows repeats in discrete mode only
+    verify.set_defaults(fn=cmd_verify, allow_repeats=False)
 
     repro = sub.add_parser("repro", help="reproduce a case-study table")
     repro.add_argument("target", choices=["appendix-b", "appendix-c"])

@@ -184,16 +184,16 @@ class DenseCore:
         return out
 
     def pairs_value(self, G: "OverlapMeasure", pairs) -> float:
-        """G on the raw mixture of (item, position) pairs, in iteration order.
+        """G on the raw mixture of (item, position) pairs.
 
         The mass may exceed 1 (several items can share an early position).
-        The loop adds in the order of :meth:`mixture`, so the bits agree.
+        Pairs are added in (position, item) order, whatever order ``pairs``
+        iterates in (a frozenset's varies with the hash seed), so the pairs
+        of a list add up as :meth:`mixture` adds the list.
         """
-        Q, w, row = self.Q, self.w, self.item_row
-        q = np.zeros(len(self.genres))
-        for i, j in pairs:
-            q += w[j - 1] * Q[row[i]]
-        return self.value(G, q)
+        pairs = sorted(pairs, key=lambda e: (e[1], e[0]))
+        return self.value(G, self.mixture([self.item_row[i] for i, _ in pairs],
+                                          self.w[[j - 1 for _, j in pairs]]))
 
 
 @dataclass(frozen=True)

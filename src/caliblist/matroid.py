@@ -11,7 +11,6 @@ submodular objectives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -204,10 +203,10 @@ def _snap(x: dict[Pair, float], tol: float = 1e-12) -> None:
             x[e] = 1.0
 
 
-def _swap_step(x: dict[Pair, float], a: Pair, b: Pair, cap_up: float,
+def _swap_step(x: dict[Pair, float], a: Pair, b: Pair,
                rng: np.random.Generator) -> None:
     """Mean-preserving random shift between coordinates a and b."""
-    up = min(1.0 - x[a], x[b], cap_up)
+    up = min(1.0 - x[a], x[b])
     down = min(x[a], 1.0 - x[b])
     if up + down <= 0:
         return
@@ -225,8 +224,12 @@ def pipage_round(m: Matroid, x: FractionalPoint, F: SetFunction | None,
 
     Works by mean-preserving pairwise swaps; the multilinear extension is
     convex along every two-coordinate direction, so expected value never
-    decreases for submodular F. The objective is not consulted. Integral
-    inputs pass through as their support.
+    decreases for submodular F. Swaps first leave at most one fractional
+    entry per position column. On the laminar matroid they then pair the
+    first two fractional entries in (position, item) order until one is
+    left. Each remaining entry is rounded by one Bernoulli draw, in item
+    order. The objective is not consulted. Integral inputs pass through as
+    their support.
     """
     if not x.in_polytope(m, tol=1e-6):
         raise ValidationError("point outside the matroid polytope")
@@ -245,37 +248,23 @@ def pipage_round(m: Matroid, x: FractionalPoint, F: SetFunction | None,
         for col in sorted(by_col):
             entries = by_col[col]
             if len(entries) >= 2:
-                _swap_step(vals, entries[0], entries[1], math.inf, rng)
+                _swap_step(vals, entries[0], entries[1], rng)
                 _snap(vals)
                 changed = True
 
-    if isinstance(m, PartitionMatroid):
-        # At most one fractional entry per part; Bernoulli-round each.
-        for e in frac():
-            vals[e] = 1.0 if rng.random() < vals[e] else 0.0
-    else:
-        # Chain constraints: pair the two leftmost fractional columns,
-        # capping upward moves by the slack of the prefixes in between.
-        while True:
-            entries = frac()
-            if len(entries) < 2:
-                break
-            a, b = entries[0], entries[1]
-            col_sums = [0.0] * (m.k + 1)
-            for (i, j), v in vals.items():
-                col_sums[j] += v
-            prefix = np.cumsum(col_sums)
-            cap = min(
-                (ell - prefix[ell] for ell in range(a[1], b[1])),
-                default=math.inf,
-            )
-            _swap_step(vals, a, b, cap, rng)
+    if isinstance(m, LaminarMatroid):
+        # Each column now holds at most one fractional entry. Pair the two
+        # leftmost fractional columns: a prefix ending between them holds
+        # integers plus the earlier entry, so filling that entry keeps it
+        # within its cap, and a shift to the later column lowers it.
+        by_position = lambda e: (e[1], e[0])
+        while len(entries := sorted(frac(), key=by_position)) >= 2:
+            _swap_step(vals, entries[0], entries[1], rng)
             _snap(vals)
-        for e in frac():  # leftover single fractional coordinate
-            vals[e] = 1.0 if rng.random() < vals[e] else 0.0
-            if vals[e] == 1.0 and not m.independent(
-                    {p for p, v in vals.items() if v == 1.0}):
-                vals[e] = 0.0
+    # At most one fractional entry is left per column (partition) or in
+    # all (laminar), so rounding each on its own keeps the set independent.
+    for e in frac():
+        vals[e] = 1.0 if rng.random() < vals[e] else 0.0
 
     support = frozenset(e for e, v in vals.items() if v == 1.0)
     if not m.independent(support):

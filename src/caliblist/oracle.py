@@ -22,7 +22,9 @@ from .core import (
     Sequence,
     ValidationError,
     fg_set,
+    seq_objective,
 )
+from .matroid import LaminarMatroid, max_weight_basis, set_to_sequence
 from .repro import GenParams, generate_instances
 
 __all__ = [
@@ -34,21 +36,13 @@ __all__ = [
     "check_overlap_axioms",
     "check_mdr",
     "check_ordered_submodular",
+    "check_set_to_sequence",
     "ratio_report",
 ]
 
 SEARCH_LIMIT = 10_000_000
 _BLOCK = 1 << 16  # candidate rows enumerated and scored at a time
 _VIOLATION_TOL = 1e-9
-
-
-def _candidate_count(n: int, k: int, allow_repeats: bool) -> int:
-    if allow_repeats:
-        return n ** k
-    count = 1
-    for r in range(k):
-        count *= max(n - r, 0)
-    return count
 
 
 def _index_blocks(n: int, k: int, allow_repeats: bool, count: int):
@@ -94,7 +88,7 @@ def exhaustive_opt(
     if allow_repeats is None:
         allow_repeats = inst.mode == "discrete"
     n = len(universe)
-    count = _candidate_count(n, k, allow_repeats)
+    count = n ** k if allow_repeats else math.perm(n, k)  # 0 when k > n
     if count > SEARCH_LIMIT:
         raise ValidationError("search space too large for exhaustive_opt")
     if count == 0:
@@ -276,6 +270,31 @@ def check_ordered_submodular(
             if counterexample is None:
                 counterexample = {"sequence": s, "index": i,
                                   "substitute": s_bar, "lhs": lhs, "rhs": rhs}
+    return CheckResult(violations == 0, trials, violations, counterexample)
+
+
+def check_set_to_sequence(G: OverlapMeasure, trials: int, seed: int) -> CheckResult:
+    """Probe that the list built from a laminar basis R is worth at least fg(R).
+
+    Draws ``trials`` distributional instances with 4 to 6 items and k <= 4,
+    and one basis per instance: the first that a uniformly shuffled scan of
+    the ground set builds.
+    """
+    rng = np.random.default_rng(seed)
+    violations = 0
+    counterexample = None
+    params = GenParams(min_items=4, max_items=6, max_k=4)
+    for inst in generate_instances(params, "distributional", seed=seed, n=trials):
+        m = LaminarMatroid(inst.item_ids, inst.k)
+        pairs = m.ground_set()
+        rng.shuffle(pairs)
+        R = ItemPositionSet(max_weight_basis(
+            m, {e: -rank for rank, e in enumerate(pairs)}))
+        seq = set_to_sequence(R, inst, G)
+        if seq_objective(G, seq, inst) < fg_set(G, R, inst) - 1e-12:
+            violations += 1
+            counterexample = counterexample or {
+                "basis": sorted(R.pairs), "sequence": list(seq.entries)}
     return CheckResult(violations == 0, trials, violations, counterexample)
 
 

@@ -196,6 +196,24 @@ class TestVerify:
                      "--n", "5"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_ratio_suite_record_names_its_suite(self, capsys):
+        assert main(["verify", "--suite", "ratios", "--algorithm",
+                     "discrete-greedy", "--n", "25", "--machine"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["suite"] == "ratios"
+
+    @pytest.mark.parametrize("algorithm", ["exhaustive", "continuous-repeats"])
+    def test_ratio_suite_rejects_other_algorithms(self, capsys, algorithm):
+        assert main(["verify", "--suite", "ratios", "--algorithm", algorithm,
+                     "--n", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown algorithm")
+
+    def test_bench_command_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--algorithm", "discrete-greedy", "--n", "25"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_negative_seed_rejected(self, capsys):
         assert main(["verify", "--suite", "ratios", "--algorithm", "continuous",
                      "--seed", "-1", "--n", "2"]) == 1
@@ -215,14 +233,6 @@ class TestRepro:
         out = capsys.readouterr().out
         assert out.count("pass") == 6
         assert out.count("FAIL") == 1
-
-
-class TestBench:
-    def test_bench_aliases_ratio_suite(self, capsys):
-        assert main(["bench", "--algorithm", "discrete-greedy",
-                     "--n", "25", "--machine"]) == 0
-        record = json.loads(capsys.readouterr().out)
-        assert record["suite"] == "ratios"
 
 
 @pytest.mark.parametrize("argv", [["verify", "--suite", "axioms", "--n", "3"],

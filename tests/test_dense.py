@@ -7,6 +7,10 @@ approximately, so that every solver output stays bit-identical.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,15 +88,20 @@ def ref_mixture(inst, contributions):
     return out
 
 
+def _by_position(pairs):
+    # set extensions add their pairs in (position, item) order
+    return sorted(pairs, key=lambda e: (e[1], e[0]))
+
+
 def ref_fg(G, R, inst):
     first = R.earliest_positions()
     return ref_eval(G, inst.target, ref_mixture(
-        inst, ((i, inst.weights[j]) for i, j in first.items())))
+        inst, ((i, inst.weights[j]) for i, j in _by_position(first.items()))))
 
 
 def ref_hatfg(G, R, inst):
     return ref_eval(G, inst.target, ref_mixture(
-        inst, ((i, inst.weights[j]) for i, j in R)))
+        inst, ((i, inst.weights[j]) for i, j in _by_position(R))))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +340,40 @@ def test_single_genre_long_list_adds_in_position_order():
     assert q.get("g") == total
     G = power(0.5)
     assert seq_objective(G, seq, inst) == ref_seq_objective(G, seq, inst)
+
+
+# fg, hatfg and multilinear estimates of random sets on 8-14 genres, where
+# numpy's pairwise sum would expose a change in the order pairs are added
+_SET_VALUES = """
+import numpy as np
+from caliblist.core import ItemPositionSet, fg_set, hatfg_set, hellinger_squared
+from caliblist.matroid import FractionalPoint, fg_function, multilinear_estimate
+from caliblist.repro import GenParams, generate_instances
+G = hellinger_squared()
+rng = np.random.default_rng(0)
+out = []
+for inst in generate_instances(GenParams(min_genres=8, max_genres=14),
+                               "distributional", seed=61, n=200):
+    ground = [(i, j) for i in inst.item_ids for j in range(1, inst.k + 1)]
+    R = ItemPositionSet(frozenset(e for e in ground if rng.random() < 0.5))
+    x = FractionalPoint({e: 0.5 for e in ground})
+    out += [fg_set(G, R, inst), hatfg_set(G, R, inst),
+            multilinear_estimate(fg_function(G, inst), x, samples=5, seed=62)]
+print([v.hex() for v in out])
+"""
+
+
+def test_set_values_do_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH":
+               os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", _SET_VALUES], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1]
 
 
 class TestItemDist:

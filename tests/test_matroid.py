@@ -1,7 +1,11 @@
 """Unit tests for matroids, continuous greedy, rounding, and sequencing."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,23 @@ from caliblist.oracle import exhaustive_opt
 from caliblist.repro import GenParams, generate_instances
 
 from test_core import make_instance
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+
+def _in_subprocess(call: str, timeout: float = 60.0) -> None:
+    """Run ``call``, an expression over this module, in a new interpreter.
+
+    A rounding loop that never ends then fails its test at the timeout
+    instead of stalling the suite.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), str(TESTS), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import test_matroid; test_matroid.{call}"],
+        capture_output=True, text=True, env=env, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestIndependence:
@@ -213,6 +234,25 @@ class TestPipageRound:
         assert counts[("a", 1)] / n == pytest.approx(0.25, abs=0.03)
         assert counts[("b", 1)] / n == pytest.approx(0.75, abs=0.03)
 
+    def test_laminar_marginals_preserved_across_columns(self):
+        # B@1 and A@3 are the fractional columns left after C@2 and D@2 are
+        # consolidated; every pair must come out with its own probability.
+        m = LaminarMatroid(("A", "B", "C", "D"), 3)
+        x = FractionalPoint({("B", 1): 0.5, ("C", 2): 0.3, ("D", 2): 1.0,
+                             ("A", 3): 0.6})
+        counts = Counter()
+        n = 4000
+        for s in range(n):
+            counts.update(pipage_round(m, x, None, seed=s).pairs)
+        for e, v in x.x.items():
+            assert counts[e] / n == pytest.approx(v, abs=0.03), e
+
+    def test_laminar_rounding_ends(self):
+        _in_subprocess("round_stacked_half_point(seeds=50)")
+
+    def test_averages_of_bases_round_to_bases(self):
+        _in_subprocess("round_averages_of_bases(points=300, seed=11)")
+
     def test_basis_size_preserved_when_point_is_fractional_basis(self):
         m = LaminarMatroid(("a", "b", "c"), 2)
         x = FractionalPoint({("a", 1): 0.5, ("b", 1): 0.5,
@@ -226,6 +266,33 @@ class TestPipageRound:
         x = FractionalPoint({("a", 1): 0.9, ("b", 1): 0.9})
         with pytest.raises(ValidationError):
             pipage_round(m, x, None, seed=0)
+
+
+def round_stacked_half_point(seeds: int) -> None:
+    """A k = 5 point whose first fractional entries by item id are not in
+    its leftmost fractional columns."""
+    m = LaminarMatroid(tuple(f"i{n}" for n in range(5)), 5)
+    half = [("i2", 1), ("i0", 2), ("i1", 2), ("i3", 2), ("i0", 3), ("i2", 3),
+            ("i2", 4), ("i4", 5)]
+    x = FractionalPoint({**{e: 0.5 for e in half}, ("i3", 5): 1.0})
+    for s in range(seeds):
+        R = pipage_round(m, x, None, seed=s)
+        assert m.independent(R.pairs) and len(R) == 5
+
+
+def round_averages_of_bases(points: int, seed: int) -> None:
+    """Averages of 2-6 random-weight laminar bases round to bases."""
+    rng = np.random.default_rng(seed)
+    for t in range(points):
+        items = tuple(f"i{n}" for n in range(int(rng.integers(2, 7))))
+        m = LaminarMatroid(items, int(rng.integers(2, 6)))
+        ground = m.ground_set()
+        bases = [max_weight_basis(m, dict(zip(ground, rng.random(len(ground)))))
+                 for _ in range(rng.integers(2, 7))]
+        x = FractionalPoint({e: sum(e in B for B in bases) / len(bases)
+                             for e in ground})
+        R = pipage_round(m, x, None, seed=t)
+        assert m.independent(R.pairs) and len(R) == m.k, (t, x)
 
 
 class TestSetToSequence:

@@ -18,6 +18,7 @@ from caliblist.oracle import (
     check_mdr,
     check_ordered_submodular,
     check_overlap_axioms,
+    check_set_to_sequence,
     exhaustive_opt,
     ratio_report,
 )
@@ -176,6 +177,24 @@ class TestMdrChecker:
         res = check_mdr(G, trials=200, seed=2)
         assert not res.smdr.passed
         assert res.smdr.counterexample is not None
+
+
+class TestSetToSequenceChecker:
+    def test_hellinger_and_power_pass(self):
+        for G in (hellinger_squared(), power(0.5)):
+            res = check_set_to_sequence(G, trials=100, seed=6)
+            assert (res.passed, res.trials, res.violations) == (True, 100, 0)
+
+    def test_decreasing_measure_fails(self):
+        from caliblist.core import CustomMeasure
+        import numpy as np
+        # Moving items forward and padding the list adds mass, which a
+        # measure decreasing in q penalizes.
+        G = CustomMeasure("anti", lambda p, q: float(-np.sum(q)))
+        res = check_set_to_sequence(G, trials=50, seed=7)
+        assert not res.passed
+        ce = res.counterexample
+        assert len(ce["basis"]) == len(ce["sequence"])
 
 
 class TestOrderedSubmodularChecker:
