@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import greedy as greedy_mod
 from . import matroid as matroid_mod
@@ -232,7 +232,7 @@ def _verify_ratios(args) -> dict:
         lambda inst: _solve_one(inst, args, G)[:2], G,
         lambda seed, n: repro_mod.generate_instances(params, mode, seed, n),
         n=args.n, seed=args.seed)
-    result = report.as_dict()
+    result = asdict(report)
     result["passed"] = result[stat] >= threshold
     result["threshold"] = threshold
     result["statistic"] = stat

@@ -132,7 +132,8 @@ class DenseCore:
     genre distribution of one item, in catalog order, followed in discrete
     mode by a unit row per sorted genre. ``item_row`` maps item ids to their
     rows; ``row`` maps list elements (genre ids first in discrete mode).
-    ``w`` holds the position weights.
+    ``w`` holds the position weights. Every objective is ``G`` between ``p``
+    and a mixture over all of ``genres``.
     """
 
     genres: tuple[str, ...]
@@ -142,46 +143,12 @@ class DenseCore:
     item_row: Mapping[str, int]
     row: Mapping[str, int]
 
-    @cached_property
-    def _full_target(self) -> bool:
-        return bool((self.p > 0).all())
-
     def mixture(self, rows: list[int], weights: np.ndarray) -> np.ndarray:
         """Sum of ``weights[r] * Q[rows[r]]``, added in the order given."""
         if not rows:
             return np.zeros(len(self.genres))
         # accumulate adds strictly in order, whatever the array shape
         return np.add.accumulate(weights[:, None] * self.Q.take(rows, 0), axis=0)[-1]
-
-    def value(self, G: "OverlapMeasure", q: np.ndarray) -> float:
-        """G over the union of the supports of the target and ``q``."""
-        if self._full_target:  # then the union is every genre
-            return float(G.value(self.p, q))
-        mask = (self.p > 0) | (q > 0)
-        return float(G.value(self.p[mask], q[mask]))
-
-    def values(self, G: "OverlapMeasure", qs: np.ndarray) -> np.ndarray:
-        """:meth:`value` of each row of ``qs``, bit for bit.
-
-        One ``value_batch`` call over all genres when the target covers
-        every genre. Otherwise rows are grouped by their support union and
-        each group is one call over its own genres: zero terms would change
-        the order of numpy's pairwise sum from 8 genres on.
-        """
-        if self._full_target:
-            return G.value_batch(self.p, qs)
-        # the unions differ only on genres outside the target's support
-        off = self.p == 0
-        Z = qs[:, off] > 0
-        order = np.lexsort(Z.T)
-        Z = Z[order]
-        starts = np.flatnonzero(np.r_[True, (Z[1:] != Z[:-1]).any(axis=1)])
-        out = np.empty(len(qs))
-        mask = ~off
-        for rows, z in zip(np.split(order, starts[1:]), Z[starts]):
-            mask[off] = z
-            out[rows] = G.value_batch(self.p[mask], qs[np.ix_(rows, mask)])
-        return out
 
     def pairs_value(self, G: "OverlapMeasure", pairs) -> float:
         """G on the raw mixture of (item, position) pairs.
@@ -192,8 +159,9 @@ class DenseCore:
         of a list add up as :meth:`mixture` adds the list.
         """
         pairs = sorted(pairs, key=lambda e: (e[1], e[0]))
-        return self.value(G, self.mixture([self.item_row[i] for i, _ in pairs],
-                                          self.w[[j - 1 for _, j in pairs]]))
+        q = self.mixture([self.item_row[i] for i, _ in pairs],
+                         self.w[[j - 1 for _, j in pairs]])
+        return float(G.value(self.p, q))
 
 
 @dataclass(frozen=True)
@@ -333,8 +301,9 @@ def _row_sums(X: np.ndarray) -> np.ndarray:
 class OverlapMeasure:
     """A similarity on (distribution p, subdistribution q) pairs.
 
-    Subclasses implement :meth:`value` on aligned numpy arrays; evaluation
-    runs over the union of the two supports.
+    Subclasses implement :meth:`value` on numpy arrays aligned to the
+    instance's genres. Every shipped measure adds exactly 0 on a genre where
+    p = q = 0, so genres outside both supports do not change the overlap.
     """
 
     name: str = "overlap"
@@ -348,9 +317,6 @@ class OverlapMeasure:
         The default is a python loop.
         """
         return np.array([self.value(p, q) for q in Q])
-
-    def params(self) -> dict:
-        return {}
 
 
 class HellingerSquared(OverlapMeasure):
@@ -388,9 +354,6 @@ class PowerOverlap(OverlapMeasure):
         X *= p ** (1 - b)
         return _row_sums(X)
 
-    def params(self):
-        return {"beta": self.beta}
-
 
 class FDivergenceOverlap(OverlapMeasure):
     """d* minus the f-divergence sum f(p(x)/q(x)) q(x).
@@ -418,9 +381,6 @@ class FDivergenceOverlap(OverlapMeasure):
             elif pi > 0:
                 total += pi * self._slope
         return self.d_star - total
-
-    def params(self):
-        return {"d_star": self.d_star}
 
 
 class ConcaveOverlap(OverlapMeasure):
@@ -529,7 +489,7 @@ def induced_distribution(seq: Sequence, inst: Instance) -> Subdistribution:
 
 def seq_objective(G: OverlapMeasure, seq: Sequence, inst: Instance) -> float:
     """Overlap between the target and the list's induced distribution."""
-    return inst.dense.value(G, _list_mixture(seq, inst))
+    return float(G.value(inst.dense.p, _list_mixture(seq, inst)))
 
 
 def fg_set(G: OverlapMeasure, R: ItemPositionSet, inst: Instance) -> float:

@@ -88,7 +88,7 @@ class ListObjective:
             raise ValidationError(f"sequence longer than k={k}")
         q = core.mixture([core.row[e] for e in seq], core.w[:len(seq)])
         rows = [core.row[e] for e in elements]
-        return core.values(self.G, q + core.w[len(seq)] * core.Q.take(rows, 0))
+        return self.G.value_batch(core.p, q + core.w[len(seq)] * core.Q.take(rows, 0))
 
 
 def sequence_objective_fn(G: OverlapMeasure, inst: Instance) -> ListObjective:

@@ -353,7 +353,7 @@ class PairFunction:
                 delta = np.where(block, 0.0, w)
             delta = np.hstack([np.zeros((len(block), 1)), delta])
             mixtures = q[:, None, :] + delta[:, :, None] * Q_pairs
-            vals = core.values(self.G, mixtures.reshape(-1, Q_pairs.shape[1]))
+            vals = self.G.value_batch(core.p, mixtures.reshape(-1, Q_pairs.shape[1]))
             vals = vals.reshape(len(block), -1)
             gains = np.where(delta[:, 1:] != 0, vals[:, 1:] - vals[:, :1], 0.0)
             # add sample by sample, in the order of the per-call loop

@@ -1,9 +1,10 @@
-"""The dense instance core against the dict-based evaluation it replaced.
+"""The dense instance core against a dict-based reference evaluation.
 
-The reference below is the original implementation: a per-genre dict
-mixture built from a linear item scan, evaluated over the sorted union of
-the two supports. The dense path must agree with it exactly (``==``), not
-approximately, so that every solver output stays bit-identical.
+The reference below builds a per-genre dict mixture from a linear item
+scan, as the original implementation did, and evaluates G over the
+instance's sorted genres. The dense path must agree with it exactly
+(``==``), not approximately, so that every solver output stays
+bit-identical.
 """
 
 import math
@@ -33,7 +34,7 @@ from caliblist.core import (
     validate_instance,
 )
 from caliblist import matroid
-from caliblist.greedy import truncate_instance
+from caliblist.greedy import sequence_objective_fn, truncate_instance
 from caliblist.matroid import (
     LaminarMatroid,
     PartitionMatroid,
@@ -48,7 +49,7 @@ from caliblist.repro import GenParams, generate_instances
 from test_core import make_instance
 
 # ---------------------------------------------------------------------------
-# Reference: dict mixtures, linear scans, support-union evaluation
+# Reference: dict mixtures, linear scans, evaluation over every genre
 # ---------------------------------------------------------------------------
 
 
@@ -59,9 +60,9 @@ def ref_item_dist(inst, item_id):
     raise KeyError(item_id)
 
 
-def ref_eval(G, p, q):
-    genres = sorted(p.support() | set(q))
-    pa = np.array([p.get(g) for g in genres])
+def ref_eval(G, inst, q):
+    genres = sorted(inst.genres)
+    pa = np.array([inst.target.get(g) for g in genres])
     qa = np.array([q.get(g, 0.0) for g in genres])
     return float(G.value(pa, qa))
 
@@ -75,7 +76,7 @@ def ref_seq_objective(G, seq, inst):
             continue
         for g, v in ref_item_dist(inst, elem).items():
             out[g] = out.get(g, 0.0) + wj * v
-    return ref_eval(G, inst.target, Subdistribution(out).weights)
+    return ref_eval(G, inst, Subdistribution(out).weights)
 
 
 def ref_mixture(inst, contributions):
@@ -95,12 +96,12 @@ def _by_position(pairs):
 
 def ref_fg(G, R, inst):
     first = R.earliest_positions()
-    return ref_eval(G, inst.target, ref_mixture(
+    return ref_eval(G, inst, ref_mixture(
         inst, ((i, inst.weights[j]) for i, j in _by_position(first.items()))))
 
 
 def ref_hatfg(G, R, inst):
-    return ref_eval(G, inst.target, ref_mixture(
+    return ref_eval(G, inst, ref_mixture(
         inst, ((i, inst.weights[j]) for i, j in _by_position(R))))
 
 
@@ -152,10 +153,10 @@ def reversed_items(inst):
 measures = st.one_of(st.just(hellinger_squared()),
                      st.sampled_from([0.25, 0.5, 0.75]).map(power))
 
-# counts the genres it is given, so it sees the difference between the
-# union of supports and the full genre list
-UNION_SIZE = CustomMeasure("union-size",
-                           lambda p, q: len(p) + np.sum(np.sqrt(p * q)))
+# counts the genres it is given, so it sees any objective that evaluates G
+# over fewer than all of the instance's genres; it has no value_batch
+GENRE_COUNT = CustomMeasure("genre-count",
+                            lambda p, q: len(p) + np.sum(np.sqrt(p * q)))
 
 
 def _elements(inst):
@@ -209,16 +210,21 @@ def test_lists_sets_and_closures_share_one_formula(inst, G, data):
     assert hatfg_function(G, inst)(S) == hatfg_set(G, R, inst)
 
 
-@given(instances(n_genres=(1, 14)), st.one_of(measures, st.just(UNION_SIZE)),
-       st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=200, deadline=None)
-def test_values_equal_value_on_every_row(inst, G, seed):
-    # partial-support targets group the rows by their support union
-    core = inst.dense
-    rng = np.random.default_rng(seed)
-    W = rng.random((60, len(core.Q))) * (rng.random((60, len(core.Q))) < 0.3)
-    qs = W @ core.Q
-    assert core.values(G, qs).tolist() == [core.value(G, q) for q in qs]
+def test_every_objective_evaluates_over_the_instance_genres():
+    # the target and the items miss g2 and g3; G counts the genres it sees
+    G = CustomMeasure("genre-count", lambda p, q: len(p))
+    inst = validate_instance(Instance(
+        genres=("g1", "g2", "g3"), target=Subdistribution({"g1": 1.0}),
+        items=(("a", Subdistribution({"g1": 1.0})),
+               ("b", Subdistribution({"g1": 1.0}))),
+        weights=PositionWeights((0.6, 0.4))))
+    seq = Sequence(("a",))
+    R = ItemPositionSet({("a", 1), ("b", 2)})
+    got = [seq_objective(G, seq, inst), fg_set(G, R, inst), hatfg_set(G, R, inst),
+           fg_function(G, inst)(R.pairs), hatfg_function(G, inst)(R.pairs),
+           *sequence_objective_fn(G, inst).extension_values(seq, ["a", "b"]),
+           exhaustive_opt(inst, measure=G)[1]]
+    assert got == [3.0] * 8
 
 
 @given(instances(n_genres=(1, 14)), measures)
@@ -253,8 +259,8 @@ def test_batched_gains_match_the_per_call_loop(inst, G, first_only, samples, see
 
 
 @pytest.mark.parametrize("function", [fg_function, hatfg_function])
-def test_batched_gains_evaluate_over_the_support_union(function):
-    G = UNION_SIZE
+def test_batched_gains_with_a_custom_measure(function):
+    G = GENRE_COUNT
     inst = validate_instance(Instance(
         genres=("g1", "g2", "g3", "g4"),
         target=Subdistribution({"g1": 0.5, "g2": 0.5}),

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from caliblist.cli import main
+from caliblist.core import Instance, Subdistribution, validate_instance
 from caliblist.io import save_instance
 from caliblist.repro import GenParams, generate_instances
 
@@ -21,7 +22,27 @@ GOLDEN = Path(__file__).with_name("golden_machine_records.json")
 
 _LOW = ["--steps", "8", "--samples", "8"]
 
-# (mode, generator params, seed, count, solve argument lists)
+
+def _missing_genres(inst: Instance) -> Instance:
+    """Drop g2, g4, ... from the target and from every other item.
+
+    Each cut distribution is renormalized. Lists of the cut items then have
+    mixtures that are 0 wherever the target is 0.
+    """
+    drop = set(inst.genres[1::2])
+
+    def cut(d: Subdistribution) -> Subdistribution:
+        kept = {g: v for g, v in d.items() if g not in drop}
+        total = sum(kept.values())
+        return Subdistribution({g: v / total for g, v in kept.items()})
+
+    items = tuple((i, cut(d) if n % 2 == 0 else d)
+                  for n, (i, d) in enumerate(inst.items))
+    return validate_instance(Instance(inst.genres, cut(inst.target), items,
+                                      inst.weights, inst.mode))
+
+
+# (mode, generator params, seed, count, solve argument lists[, instance edit])
 CORPUS = (
     ("distributional", GenParams(min_items=4, max_items=7, max_k=4), 11, 4, (
         ["--algorithm", "greedy"],
@@ -63,14 +84,25 @@ CORPUS = (
         ["--algorithm", "greedy", "--measure", "power:0.75"],
         ["--algorithm", "discrete-greedy"],
     )),
+    # targets that miss genres, and items that miss the same ones, on 8-14 genres
+    ("distributional", GenParams(min_genres=8, max_genres=14, min_items=6,
+                                 max_items=8, min_k=3, max_k=4), 16, 6, (
+        ["--algorithm", "greedy"],
+        ["--algorithm", "greedy", "--measure", "power:0.5"],
+        ["--algorithm", "exhaustive"],
+        ["--algorithm", "exhaustive", "--measure", "power:0.25"],
+        ["--algorithm", "continuous", *_LOW],
+        ["--algorithm", "continuous", "--measure", "power:0.5", *_LOW],
+    ), _missing_genres),
 )
 
 
 def run_corpus(workdir: Path, capture) -> list[dict]:
     """Solve every (instance, arguments) pair; ``capture()`` returns stdout."""
     records = []
-    for group, (mode, params, seed, count, argvs) in enumerate(CORPUS):
-        for n, inst in enumerate(generate_instances(params, mode, seed, count)):
+    for group, (mode, params, seed, count, argvs, *edit) in enumerate(CORPUS):
+        insts = generate_instances(params, mode, seed, count)
+        for n, inst in enumerate(map(edit[0], insts) if edit else insts):
             path = workdir / f"{group}-{mode}-{n}.json"
             save_instance(inst, path)
             for argv in argvs:

@@ -29,7 +29,7 @@ from caliblist.greedy import (
 from caliblist.oracle import exhaustive_opt
 from caliblist.repro import GenParams, generate_instances
 
-from test_dense import UNION_SIZE, instances, measures
+from test_dense import GENRE_COUNT, instances, measures
 
 
 def discrete_instance(target, weights):
@@ -156,7 +156,7 @@ class TestBatchedGreedy:
     """The batched path must make the loop's choices with the loop's values."""
 
     @given(st.one_of(tied_instances((1, 7)), tied_instances((8, 14))),
-           st.one_of(measures, st.just(UNION_SIZE)), st.booleans(), st.data())
+           st.one_of(measures, st.just(GENRE_COUNT)), st.booleans(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_same_list_and_steps_as_one_call_per_candidate(
             self, inst, G, allow_repeats, data):
