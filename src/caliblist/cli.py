@@ -36,7 +36,12 @@ def parse_measure(spec: str) -> OverlapMeasure:
     if spec == "hellinger":
         return hellinger_squared()
     if spec.startswith("power:"):
-        return power(float(spec.split(":", 1)[1]))
+        beta = spec.split(":", 1)[1]
+        try:
+            value = float(beta)
+        except ValueError:
+            raise ValidationError(f"beta must be a number, got {beta!r}") from None
+        return power(value)
     raise ValidationError(
         f"unknown measure {spec!r}; use 'hellinger' or 'power:<beta>'")
 
@@ -155,6 +160,8 @@ def cmd_verify(args) -> int:
     seed = args.seed
     if seed < 0:  # every suite seeds a numpy generator
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    if args.n < 1:  # no suite passes on zero trials or instances
+        raise ValidationError(f"--n must be >= 1, got {args.n}")
     out: dict = {"suite": suite, "seed": seed}
 
     if suite == "axioms":

@@ -8,6 +8,7 @@ monotone diminishing returns, ordered submodularity) on sampled inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,29 +42,128 @@ __all__ = [
 ]
 
 SEARCH_LIMIT = 10_000_000
-_BLOCK = 1 << 16  # candidate rows enumerated and scored at a time
+_BLOCK = 1 << 16  # most candidate lists scored in one value_batch
+_CACHED_LEAVES = 1 << 12  # largest search tree kept between calls
 _VIOLATION_TOL = 1e-9
 
 
-def _index_blocks(n: int, k: int, allow_repeats: bool, count: int):
-    """The ``count`` candidate index rows in lexicographic order, in blocks.
+@functools.lru_cache(maxsize=64)
+def _subtree(m: int, depth: int, repeats: bool) -> tuple:
+    """The lexicographic tree of the ``depth``-long lists over ``m`` elements.
 
-    With repeats, row c is c written in base n; otherwise the rows are
-    ``itertools.permutations(range(n), k)``. A search of at most
-    ``_BLOCK`` rows is one block.
+    Level j (0-based) holds the lists of length j + 1 as a pair of arrays:
+    each node's parent at level j - 1 (the root for j = 0) and the rank of
+    the element it appends. Nodes are in lexicographic order, parent first.
+    Without repeats a node's children skip the ranks on its path.
+
+    A tree of L leaves over two or more elements has fewer than 3 L nodes
+    of 16 bytes. :func:`_first_max` keeps only trees of at most
+    ``_CACHED_LEAVES`` leaves, so the cache holds at most 12 MB; a larger
+    tree costs a fraction of its search to build. 64 trees hold every
+    cached shape of a ``ratio-suite`` benchmark pass.
     """
-    perms = itertools.permutations(range(n), k)
-    for start in range(0, count, _BLOCK):
-        rows = min(_BLOCK, count - start)
-        if not allow_repeats:
-            flat = itertools.chain.from_iterable(itertools.islice(perms, rows))
-            yield np.fromiter(flat, np.int64, rows * k).reshape(rows, k)
-            continue
-        c = np.arange(start, start + rows)
-        idx = np.empty((rows, k), np.int64)
-        for j in range(k - 1, -1, -1):
-            c, idx[:, j] = np.divmod(c, n)
-        yield idx
+    levels = []
+    free = np.ones((1, m), bool)  # the ranks each node's children append
+    for _ in range(depth):
+        # row-major: by parent, then rank; contiguous copies take faster
+        parent, rank = map(np.ascontiguousarray, np.nonzero(free))
+        if repeats:
+            free = np.ones((len(parent), m), bool)
+        else:
+            free = free[parent]
+            free[np.arange(len(parent)), rank] = False
+        for a in (parent, rank):
+            a.flags.writeable = False
+        levels.append((parent, rank))
+    return tuple(levels)
+
+
+def _head_blocks(n: int, h: int, repeats: bool, per_block: int):
+    """The lexicographic ``h``-long index lists over ``n``, in blocks of rows."""
+    heads = (itertools.product(range(n), repeat=h) if repeats
+             else itertools.permutations(range(n), h))
+    total = n ** h if repeats else math.perm(n, h)
+    for start in range(0, total, per_block):
+        rows = min(per_block, total - start)
+        flat = itertools.chain.from_iterable(itertools.islice(heads, rows))
+        yield np.fromiter(flat, np.intp, rows * h).reshape(rows, h)
+
+
+def _ranks(levels: tuple, leaf: int) -> list[int]:
+    """The ranks on the path from the root to ``leaf``, by parent pointers."""
+    ranks = []
+    for parent, rank in reversed(levels):
+        ranks.append(int(rank[leaf]))
+        leaf = parent[leaf]
+    return ranks[::-1]
+
+
+def _first_max(measure: OverlapMeasure, p: np.ndarray, WM: np.ndarray,
+               repeats: bool) -> tuple[tuple[int, ...], float]:
+    """The lexicographically first index list of maximum value, and the value.
+
+    ``WM[j]`` holds the weighted element rows of position j. The lists form
+    a tree whose node at depth j has its parent's mixture plus one row of
+    ``WM[j]``: one add per node, and every mixture is added in position
+    order, as :meth:`DenseCore.mixture` adds it. The first h positions (the
+    heads) are enumerated, h as small as keeps the :func:`_subtree` of the
+    other positions to at most ``_BLOCK`` leaves. Each block of heads is
+    expanded level by level and scored with one ``value_batch`` of at most
+    ``_BLOCK`` lists.
+    """
+    k, n, g = WM.shape
+    depth = k  # the deepest subtree with at most _BLOCK leaves
+    while (leaves := (n ** depth if repeats
+                      else math.perm(n - k + depth, depth))) > _BLOCK:
+        depth -= 1
+    h = k - depth
+    tree = _subtree if leaves <= _CACHED_LEAVES else _subtree.__wrapped__
+    levels = tree(n if repeats else n - h, depth, repeats)
+    if h == 0:  # one block, no heads: ranks are elements
+        M = WM[0].take(levels[0][1], 0)
+        for j in range(1, k):
+            parent, rank = levels[j]
+            M = M.take(parent, 0)
+            M += WM[j].take(rank, 0)
+        vals = measure.value_batch(p, M)
+        b = int(np.argmax(vals))  # first max = lexicographically smallest
+        return tuple(_ranks(levels, b)), float(vals[b])
+
+    per_block = _BLOCK // leaves
+    # Buffers reused by every block: fresh arrays of megabytes per block
+    # cost more in page faults than in arithmetic. Each level keeps its
+    # nodes' mixtures; one buffer holds the rows a level adds. (numpy
+    # buffers ``take`` into ``out`` unless mode is "clip" or "wrap".)
+    size = min(per_block, n ** h if repeats else math.perm(n, h))
+    nodes = [np.empty((size, len(rank), g)) for _, rank in levels]
+    added = np.empty((1 if repeats else size) * leaves * g)
+    best, best_val = None, -math.inf
+    for H in _head_blocks(n, h, repeats, per_block):
+        M = WM[0].take(H[:, :1], 0)  # (heads, nodes, genres)
+        for j in range(1, h):
+            M += WM[j].take(H[:, j:j + 1], 0)
+        if not repeats:  # each head's unused elements, in order
+            free = np.ones((len(H), n), bool)
+            free[np.arange(len(H))[:, None], H] = False
+            avail = np.nonzero(free)[1].reshape(len(H), n - h)
+        for j, (parent, rank), buf in zip(range(h, k), levels, nodes):
+            # the rows a subtree may add (shared by all heads with repeats),
+            # then the row each node adds
+            elems = WM[j][None] if repeats else WM[j].take(avail, 0)
+            shape = (len(elems), len(rank), g)
+            rows = elems.take(rank, 1, mode="clip",
+                              out=added[:math.prod(shape)].reshape(shape))
+            M = M.take(parent, 1, out=buf[:len(H)], mode="clip")
+            M += rows
+        vals = measure.value_batch(p, M.reshape(-1, g))
+        b = int(np.argmax(vals))
+        if best is None or vals[b] > best_val:
+            head, leaf = divmod(b, leaves)
+            tail = _ranks(levels, leaf)
+            if not repeats:
+                tail = avail[head, tail].tolist()
+            best, best_val = (*H[head].tolist(), *tail), float(vals[b])
+    return best, best_val
 
 
 def exhaustive_opt(
@@ -77,9 +177,12 @@ def exhaustive_opt(
     The universe is the genre set in discrete mode (repeats allowed by
     default) and the item catalog otherwise (repeats disallowed by
     default). Ties go to the lexicographically smallest sequence. With a
-    measure, the value equals ``seq_objective`` of the returned list, bit
-    for bit. Raises :class:`ValidationError` when the search space exceeds
-    10^7 lists.
+    measure, lists share prefixes: each list's mixture is its prefix's plus
+    one weighted row, and at most ``_BLOCK`` lists are scored per
+    ``value_batch`` call (see :func:`_first_max`). The value equals
+    ``seq_objective`` of the returned list, bit for bit. An ``objective``
+    is called once per list. Raises :class:`ValidationError` when the
+    search space exceeds 10^7 lists.
     """
     if (measure is None) == (objective is None):
         raise ValidationError("pass exactly one of measure or objective")
@@ -96,19 +199,10 @@ def exhaustive_opt(
 
     if objective is None:
         core = inst.dense
-        # WM[j] holds w_j times each element's row: each position is one
-        # gather, added in the order of DenseCore.mixture
+        # WM[j] holds w_j times each element's row
         WM = core.w[:, None, None] * core.Q[[core.row[e] for e in universe]]
-        best_row, best_val = None, -math.inf
-        for idx in _index_blocks(n, k, allow_repeats, count):
-            Q = WM[0].take(idx[:, 0], 0)
-            for j in range(1, k):
-                Q += WM[j].take(idx[:, j], 0)
-            vals = measure.value_batch(core.p, Q)
-            b = int(np.argmax(vals))  # first max = lexicographically smallest
-            if best_row is None or vals[b] > best_val:
-                best_row, best_val = idx[b], float(vals[b])
-        return Sequence(tuple(universe[i] for i in best_row)), best_val
+        best, best_val = _first_max(measure, core.p, WM, allow_repeats)
+        return Sequence(tuple(universe[i] for i in best)), best_val
 
     gen = (itertools.product(range(n), repeat=k) if allow_repeats
            else itertools.permutations(range(n), k))

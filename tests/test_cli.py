@@ -104,6 +104,11 @@ class TestSolve:
         assert main(["solve", instance_file, "--measure", "cosine"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_numeric_beta_is_exit_1(self, instance_file, capsys):
+        assert main(["solve", instance_file, "--measure", "power:abc"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: beta must be a number, got 'abc'")
+
     def test_nan_weights_are_exit_1(self, tmp_path, capsys):
         # json.load reads NaN; such a file used to solve to "value": 0.0
         path = tmp_path / "nan.json"
@@ -218,6 +223,17 @@ class TestVerify:
         assert main(["verify", "--suite", "ratios", "--algorithm", "continuous",
                      "--seed", "-1", "--n", "2"]) == 1
         assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+
+    def test_empty_beta_is_exit_1(self, capsys):
+        assert main(["verify", "--suite", "axioms", "--measure", "power:"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: beta must be a number, got ''")
+
+    @pytest.mark.parametrize("suite, n", [("ratios", "0"), ("axioms", "-5")])
+    def test_n_below_one_rejected(self, capsys, suite, n):
+        # zero ratio instances used to crash; zero trials passed vacuously
+        assert main(["verify", "--suite", suite, "--n", n]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --n must be >= 1, got {n}")
 
 
 class TestRepro:

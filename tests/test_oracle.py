@@ -7,6 +7,7 @@ import pytest
 
 from caliblist import oracle
 from caliblist.core import (
+    HellingerSquared,
     Sequence,
     ValidationError,
     hellinger_squared,
@@ -28,7 +29,54 @@ from test_core import make_instance
 from test_greedy import discrete_instance
 
 
+def _twins():
+    """Instances whose optimum ties: twin items, and genres under equal weights."""
+    base = make_instance()
+    twins = type(base)(
+        genres=base.genres, target=base.target,
+        items=base.items + (("i5", base.items[0][1]), ("i6", base.items[2][1])),
+        weights=base.weights, mode="distributional")
+    return [twins, discrete_instance({"g1": 0.5, "g2": 0.5}, (0.5, 0.5)),
+            discrete_instance({"g1": 0.25, "g2": 0.25, "g3": 0.5},
+                              (0.25, 0.25, 0.25, 0.25))]
+
+
+@pytest.fixture(scope="module")
+def reference_searches():
+    """(instance, measure, allow_repeats, optimum of the objective path)."""
+    insts = (generate_instances(GenParams(max_genres=4, max_k=4),
+                                "discrete", seed=51, n=6)
+             + generate_instances(GenParams(max_items=5, max_k=3),
+                                  "distributional", seed=52, n=6)
+             + _twins())
+    cases = []
+    for inst in insts:
+        for G in (hellinger_squared(), power(0.5)):
+            for repeats in (True, False):
+                if not repeats and inst.k > len(inst.universe()):
+                    continue
+                want = exhaustive_opt(
+                    inst, objective=lambda s: seq_objective(G, s, inst),
+                    allow_repeats=repeats)
+                cases.append((inst, G, repeats, want))
+    return cases
+
+
 class TestExhaustiveOpt:
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64, None])
+    def test_prefix_search_equals_the_objective_path(
+            self, monkeypatch, reference_searches, block):
+        # The objective path scores each list by seq_objective, one at a
+        # time; the measure path builds mixtures from their prefixes in
+        # blocks. Lists and values must agree exactly, ties included.
+        if block is not None:
+            monkeypatch.setattr(oracle, "_BLOCK", block)
+        assert len(reference_searches) > 40
+        for inst, G, repeats, (want_seq, want_val) in reference_searches:
+            seq, val = exhaustive_opt(inst, measure=G, allow_repeats=repeats)
+            assert seq.entries == want_seq.entries
+            assert val == want_val
+
     def test_vectorized_path_matches_generic_path(self):
         # The fast measure path and the plain python objective path are
         # independent implementations; they must agree exactly.
@@ -105,6 +153,45 @@ class TestExhaustiveOpt:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2 ** 20
+
+    def test_memory_stays_bounded_on_a_permutation_search(self):
+        # 11 items, k = 7: 1.66 M lists in blocks of 4 heads x 15,120
+        # leaves. One block's mixtures over 4 genres take 1.9 MB; the search
+        # holds about three such arrays and the subtree's index arrays.
+        [inst] = generate_instances(
+            GenParams(min_items=11, max_items=11, min_k=7, max_k=7),
+            "distributional", seed=46, n=1)
+        assert len(inst.genres) == 4
+        G = hellinger_squared()
+        tracemalloc.start()
+        try:
+            seq, value = exhaustive_opt(inst, measure=G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert value == seq_objective(G, seq, inst)
+
+    def test_one_position_over_many_items_is_batched(self, monkeypatch):
+        # With k = 1 every list is a head of its own; blocks of heads keep
+        # the search from scoring one item per value_batch call.
+        class Counting(HellingerSquared):
+            calls = 0
+
+            def value_batch(self, p, Q):
+                self.calls += 1
+                return super().value_batch(p, Q)
+
+        [inst] = generate_instances(
+            GenParams(min_items=100, max_items=100, min_k=1, max_k=1),
+            "distributional", seed=47, n=1)
+        monkeypatch.setattr(oracle, "_BLOCK", 8)
+        G = Counting()
+        seq, value = exhaustive_opt(inst, measure=G)
+        assert 0 < G.calls <= 2 * math.ceil(100 / 8)
+        want = exhaustive_opt(
+            inst, objective=lambda s: seq_objective(G, s, inst))
+        assert (seq.entries, value) == (want[0].entries, want[1])
 
     def test_requires_exactly_one_objective(self):
         inst = make_instance()
