@@ -99,8 +99,6 @@ def _solve_one(inst, args, G) -> tuple[Sequence, float, list[float]]:
             allow_repeats=args.allow_repeats or inst.mode == "discrete")
         return seq, objective(seq), trace.gains
     if algo == "discrete-greedy":
-        if inst.mode != "discrete":
-            raise ValidationError("discrete-greedy requires a discrete-mode file")
         seq, trace = greedy_mod.discrete_greedy(inst)
         return seq, greedy_mod.discrete_objective(inst)(seq), trace.gains
     if algo == "exhaustive":
@@ -109,6 +107,9 @@ def _solve_one(inst, args, G) -> tuple[Sequence, float, list[float]]:
             allow_repeats=args.allow_repeats if args.allow_repeats else None)
         return seq, val, []
     if algo == "continuous":
+        if args.allow_repeats:  # its laminar matroid holds each item once
+            raise ValidationError("continuous does not take --allow-repeats; "
+                                  "use --algorithm continuous-repeats")
         seq, val = matroid_mod.solve_distributional(
             inst, G, steps=args.steps, samples=args.samples, seed=args.seed)
         return seq, val, []
@@ -164,48 +165,43 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"--n must be >= 1, got {args.n}")
     out: dict = {"suite": suite, "seed": seed}
 
+    res = None  # the suite's CheckResult, for the suites that tally one
     if suite == "axioms":
         if args.measure == "kl-mmr-demo":
             G = repro_mod.kl_pseudo_measure()
         else:
             G = parse_measure(args.measure)
         res = oracle_mod.check_overlap_axioms(G, trials=args.n, seed=seed)
-        out.update(passed=res.passed, violations=res.violations,
-                   counterexample=res.counterexample)
     elif suite == "mdr":
         G = parse_measure(args.measure)
-        res = oracle_mod.check_mdr(G, trials=args.n, seed=seed)
-        out.update(passed=res.passed,
-                   mdr_violations=res.mdr.violations,
-                   smdr_violations=res.smdr.violations,
-                   counterexample=res.mdr.counterexample or res.smdr.counterexample)
+        mdr = oracle_mod.check_mdr(G, trials=args.n, seed=seed)
+        out.update(passed=mdr.passed,
+                   mdr_violations=mdr.mdr.violations,
+                   smdr_violations=mdr.smdr.violations,
+                   counterexample=mdr.mdr.counterexample or mdr.smdr.counterexample)
     elif suite == "ordered-submodular":
         G = parse_measure(args.measure)
         insts = repro_mod.generate_instances(
             repro_mod.GenParams(max_k=4, max_items=4), "distributional",
             seed=seed, n=50)
-        worst = None
-        passed = True
-        violations = 0
-        for inst in insts:
-            res = oracle_mod.check_ordered_submodular(
-                greedy_mod.sequence_objective_fn(G, inst),
-                list(inst.universe()), inst.k,
-                trials=max(1, args.n // 50), seed=seed)
-            violations += res.violations
-            if not res.passed:
-                passed = False
-                worst = worst or res.counterexample
-        out.update(passed=passed, violations=violations, counterexample=worst)
+        trials = max(1, args.n // 50)
+        per_inst = (oracle_mod.check_ordered_submodular(
+            greedy_mod.sequence_objective_fn(G, inst), list(inst.universe()),
+            inst.k, trials=trials, seed=seed) for inst in insts)
+        # an instance's v violations count as v probes that found its first
+        # counterexample
+        res = oracle_mod._tally(len(insts) * trials, (
+            r.counterexample for r in per_inst for _ in range(r.violations)))
     elif suite == "prop41":
         res = oracle_mod.check_set_to_sequence(
             parse_measure(args.measure), trials=args.n, seed=seed)
-        out.update(passed=res.passed, violations=res.violations,
-                   counterexample=res.counterexample)
     elif suite == "ratios":
         out.update(_verify_ratios(args))
     else:
         raise ValidationError(f"unknown suite {suite!r}")
+    if res is not None:
+        out.update(passed=res.passed, violations=res.violations,
+                   counterexample=res.counterexample)
 
     passed = bool(out.get("passed"))
     if out.get("counterexample") and args.out:
@@ -249,24 +245,19 @@ def _verify_ratios(args) -> dict:
 def cmd_repro(args) -> int:
     if args.target == "appendix-b":
         rows = repro_mod.repro_appendix_b()
-        print(f"{'w1':>8} {'ALG':>12} {'OPT':>12} {'status':>8}")
-        ok = True
-        for r in rows:
-            status = "pass" if r.ok else "FAIL"
-            ok = ok and r.ok
-            print(f"{r.w1:>8g} {r.alg:>12.6f} {r.opt:>12.6f} {status:>8}")
-        return 0 if ok else 2
-    if args.target == "appendix-c":
+        header = f"{'w1':>8} {'ALG':>12} {'OPT':>12}"
+        cells = lambda r: f"{r.w1:>8g} {r.alg:>12.6f} {r.opt:>12.6f}"
+    elif args.target == "appendix-c":
         rows = repro_mod.repro_appendix_c()
-        print(f"{'sequence':>14} {'value':>10} {'expected':>10} {'status':>8}")
-        ok = True
-        for r in rows:
-            status = "pass" if r.ok else "FAIL"
-            ok = ok and r.ok
-            print(f"{' '.join(r.sequence):>14} {r.value:>10.4f} "
-                  f"{r.expected:>10.3f} {status:>8}")
-        return 0 if ok else 2
-    raise ValidationError(f"unknown repro target {args.target!r}")
+        header = f"{'sequence':>14} {'value':>10} {'expected':>10}"
+        cells = lambda r: (f"{' '.join(r.sequence):>14} {r.value:>10.4f} "
+                           f"{r.expected:>10.3f}")
+    else:
+        raise ValidationError(f"unknown repro target {args.target!r}")
+    print(f"{header} {'status':>8}")
+    for r in rows:
+        print(f"{cells(r)} {'pass' if r.ok else 'FAIL':>8}")
+    return 0 if all(r.ok for r in rows) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

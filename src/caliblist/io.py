@@ -108,11 +108,14 @@ def instance_from_dict(data: dict) -> Instance:
 
 
 def load_instance(path: str | Path) -> Instance:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"cannot parse {path}: {exc}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    # not UTF-8, not JSON, or nested past the decoder's recursion limit
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"cannot parse {path}: {exc}") from exc
     return instance_from_dict(data)
 
 

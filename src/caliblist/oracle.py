@@ -226,6 +226,21 @@ class CheckResult:
         return self.passed
 
 
+def _tally(trials: int, probes) -> CheckResult:
+    """Count the counterexamples among ``probes``, keeping only the first.
+
+    ``probes`` yields one counterexample dict or None per trial; it is read
+    lazily, so a check holds one probe's result at a time.
+    """
+    violations = 0
+    first = None
+    for ce in probes:
+        if ce is not None:
+            violations += 1
+            first = ce if first is None else first
+    return CheckResult(violations == 0, trials, violations, first)
+
+
 def _random_pair(rng: np.random.Generator) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Genres g1..gn (2 <= n <= 6), a distribution p and a subdistribution q.
 
@@ -240,21 +255,17 @@ def _random_pair(rng: np.random.Generator) -> tuple[list[str], np.ndarray, np.nd
 def check_overlap_axioms(G: OverlapMeasure, trials: int, seed: int) -> CheckResult:
     """Sample (p, q) pairs; flag negativity or non-unique maximization at p."""
     rng = np.random.default_rng(seed)
-    violations = 0
-    counterexample = None
-    for _ in range(trials):
+
+    def probe():
         genres, p, q = _random_pair(rng)
         self_val = float(G.value(p, p))
         val = float(G.value(p, q))
         if val < 0 or not val < self_val - 1e-12:
-            violations += 1
-            if counterexample is None:
-                counterexample = {
-                    "p": dict(zip(genres, p.tolist())),
+            return {"p": dict(zip(genres, p.tolist())),
                     "q": dict(zip(genres, q.tolist())),
-                    "value": val, "value_at_p": self_val,
-                }
-    return CheckResult(violations == 0, trials, violations, counterexample)
+                    "value": val, "value_at_p": self_val}
+
+    return _tally(trials, (probe() for _ in range(trials)))
 
 
 @dataclass
@@ -290,16 +301,13 @@ def check_mdr(G: OverlapMeasure, params: GenParams | None = None,
     The MDR half draws distributional instances from ``params``, by default
     up to 4 genres, 5 items and k = 4. The SMDR half additionally
     finite-difference checks that G itself is coordinatewise non-decreasing
-    in q.
+    in q. Both halves share one generator, the MDR half drawing first.
     """
     params = params or GenParams(max_genres=4, max_items=5, max_k=4)
     rng = np.random.default_rng(seed)
     insts = generate_instances(params, "distributional", seed=seed + 1, n=trials)
 
-    mdr_viol = 0
-    mdr_ce = None
-    for t in range(trials):
-        inst = insts[t]
+    def mdr_probe(inst):
         ground = [(i, j) for i in inst.item_ids for j in range(1, inst.k + 1)]
         R, T, e = _random_nested_sets(rng, ground)
         fR = fg_set(G, ItemPositionSet(frozenset(R)), inst)
@@ -309,34 +317,25 @@ def check_mdr(G: OverlapMeasure, params: GenParams | None = None,
         mono_ok = fT >= fR - _VIOLATION_TOL
         sub_ok = (fRe - fR) >= (fTe - fT) - _VIOLATION_TOL
         if not (mono_ok and sub_ok):
-            mdr_viol += 1
-            if mdr_ce is None:
-                mdr_ce = {"R": sorted(R), "T": sorted(T), "e": e,
-                          "F(R)": fR, "F(T)": fT,
-                          "F(R+e)": fRe, "F(T+e)": fTe}
+            return {"R": sorted(R), "T": sorted(T), "e": e,
+                    "F(R)": fR, "F(T)": fT, "F(R+e)": fRe, "F(T+e)": fTe}
 
-    smdr_viol = 0
-    smdr_ce = None
-    delta = 1e-6
-    for _ in range(trials):
+    def smdr_probe():
         genres, p, q = _random_pair(rng)
         g = int(rng.integers(0, len(genres)))
         # a raw vector: the bump may lift q's mass above 1
         bumped = q.copy()
-        bumped[g] += delta
+        bumped[g] += 1e-6
         hi = float(G.value(p, bumped))
         lo = float(G.value(p, q))
         if hi < lo - _VIOLATION_TOL:
-            smdr_viol += 1
-            if smdr_ce is None:
-                smdr_ce = {"p": dict(zip(genres, p.tolist())),
-                           "q": dict(zip(genres, q.tolist())),
-                           "genre": genres[g], "before": lo, "after": hi}
+            return {"p": dict(zip(genres, p.tolist())),
+                    "q": dict(zip(genres, q.tolist())),
+                    "genre": genres[g], "before": lo, "after": hi}
 
-    return MdrResult(
-        mdr=CheckResult(mdr_viol == 0, trials, mdr_viol, mdr_ce),
-        smdr=CheckResult(smdr_viol == 0, trials, smdr_viol, smdr_ce),
-    )
+    mdr = _tally(trials, map(mdr_probe, insts))  # drawn before the SMDR half
+    smdr = _tally(trials, (smdr_probe() for _ in range(trials)))
+    return MdrResult(mdr=mdr, smdr=smdr)
 
 
 def check_ordered_submodular(
@@ -349,9 +348,8 @@ def check_ordered_submodular(
     """Probe the sequence inequality on random prefixes and substitutions."""
     rng = np.random.default_rng(seed)
     elems = sorted(universe)
-    violations = 0
-    counterexample = None
-    for _ in range(trials):
+
+    def probe():
         s = [elems[int(r)] for r in rng.integers(0, len(elems), size=k)]
         i = int(rng.integers(1, k + 1))
         s_bar = elems[int(rng.integers(0, len(elems)))]
@@ -360,11 +358,10 @@ def check_ordered_submodular(
         substituted = s[:i - 1] + [s_bar] + s[i:]
         rhs = f(Sequence(tuple(s))) - f(Sequence(tuple(substituted)))
         if lhs < rhs - _VIOLATION_TOL:
-            violations += 1
-            if counterexample is None:
-                counterexample = {"sequence": s, "index": i,
-                                  "substitute": s_bar, "lhs": lhs, "rhs": rhs}
-    return CheckResult(violations == 0, trials, violations, counterexample)
+            return {"sequence": s, "index": i,
+                    "substitute": s_bar, "lhs": lhs, "rhs": rhs}
+
+    return _tally(trials, (probe() for _ in range(trials)))
 
 
 def check_set_to_sequence(G: OverlapMeasure, trials: int, seed: int) -> CheckResult:
@@ -375,10 +372,9 @@ def check_set_to_sequence(G: OverlapMeasure, trials: int, seed: int) -> CheckRes
     the ground set builds.
     """
     rng = np.random.default_rng(seed)
-    violations = 0
-    counterexample = None
     params = GenParams(min_items=4, max_items=6, max_k=4)
-    for inst in generate_instances(params, "distributional", seed=seed, n=trials):
+
+    def probe(inst):
         m = LaminarMatroid(inst.item_ids, inst.k)
         pairs = m.ground_set()
         rng.shuffle(pairs)
@@ -386,10 +382,10 @@ def check_set_to_sequence(G: OverlapMeasure, trials: int, seed: int) -> CheckRes
             m, {e: -rank for rank, e in enumerate(pairs)}))
         seq = set_to_sequence(R, inst, G)
         if seq_objective(G, seq, inst) < fg_set(G, R, inst) - 1e-12:
-            violations += 1
-            counterexample = counterexample or {
-                "basis": sorted(R.pairs), "sequence": list(seq.entries)}
-    return CheckResult(violations == 0, trials, violations, counterexample)
+            return {"basis": sorted(R.pairs), "sequence": list(seq.entries)}
+
+    return _tally(trials, map(probe, generate_instances(
+        params, "distributional", seed=seed, n=trials)))
 
 
 @dataclass
@@ -415,16 +411,13 @@ def ratio_report(
     """
     from .io import instance_to_dict
 
-    ratios = []
-    worst = None
+    runs = []  # (ratio, instance, its list, an optimal list)
     for inst in generator(seed, n):
         seq, val = algorithm(inst)
         opt_seq, opt_val = exhaustive_opt(inst, measure=measure)
-        ratio = val / opt_val if opt_val > 0 else 1.0
-        ratios.append(ratio)
-        if worst is None or ratio < worst[0]:
-            worst = (ratio, inst, seq, opt_seq)
-    arr = np.array(ratios)
+        runs.append((val / opt_val if opt_val > 0 else 1.0, inst, seq, opt_seq))
+    arr = np.array([run[0] for run in runs])
+    worst = min(runs, key=lambda run: run[0])  # the first of the smallest
     worst_info = {
         "ratio": worst[0],
         "instance": instance_to_dict(worst[1]),

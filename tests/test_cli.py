@@ -164,6 +164,34 @@ class TestSolve:
         assert main(["solve", str(path), "--machine"]) == 1
         assert capsys.readouterr().err.startswith("error: item id: expected a string")
 
+    def test_directory_is_exit_1(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}")
+
+    def test_non_utf8_file_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"genres": ["drame"], "mode": "caf\xe9"}'.encode("latin-1"))
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot parse {path}")
+
+    def test_deeply_nested_json_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot parse {path}")
+
+    def test_continuous_rejects_allow_repeats(self, instance_file, capsys):
+        # continuous solves over the laminar matroid, which has no repeats
+        assert main(["solve", instance_file, "--algorithm", "continuous",
+                     "--allow-repeats", "--steps", "2", "--samples", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "continuous-repeats" in err
+
+    def test_discrete_greedy_needs_a_discrete_file(self, instance_file, capsys):
+        assert main(["solve", instance_file, "--algorithm", "discrete-greedy"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "discrete-mode" in err
+
 
 class TestVerify:
     def test_axioms_pass_for_hellinger(self, capsys):

@@ -3,18 +3,23 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from caliblist import oracle
 from caliblist.core import (
+    CustomMeasure,
     HellingerSquared,
+    ItemPositionSet,
     Sequence,
     ValidationError,
+    fg_set,
     hellinger_squared,
     power,
     seq_objective,
 )
 from caliblist.greedy import sequence_objective_fn
+from caliblist.matroid import LaminarMatroid, max_weight_basis, set_to_sequence
 from caliblist.oracle import (
     check_mdr,
     check_ordered_submodular,
@@ -324,3 +329,126 @@ class TestRatioReport:
         assert report.worst_instance is not None
         assert report.worst_instance["ratio"] == pytest.approx(
             report.min_ratio, abs=1e-15)
+
+
+# Measures that pass some probes and fail others: an overlap shifted below
+# zero on near-disjoint pairs, and one that oscillates in the mass of q.
+_SHIFTED = CustomMeasure("shifted", lambda p, q: float(np.sum(np.sqrt(p * q)) - 0.6))
+_WIGGLY = CustomMeasure("wiggly", lambda p, q: float(np.sin(9 * np.sum(q)) + 2))
+_ANTI = CustomMeasure("anti", lambda p, q: float(-np.sum(q)))
+
+
+def _tallied(per_trial):
+    """(violations, first counterexample) of per-trial counterexamples or None."""
+    found = [ce for ce in per_trial if ce is not None]
+    return len(found), (found[0] if found else None)
+
+
+def _axiom_trials(G, trials, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        genres, p, q = oracle._random_pair(rng)
+        self_val, val = float(G.value(p, p)), float(G.value(p, q))
+        yield ({"p": dict(zip(genres, p.tolist())),
+                "q": dict(zip(genres, q.tolist())),
+                "value": val, "value_at_p": self_val}
+               if val < 0 or not val < self_val - 1e-12 else None)
+
+
+def _mdr_trials(G, trials, seed):
+    """The MDR then the SMDR per-trial results, from one generator."""
+    rng = np.random.default_rng(seed)
+    insts = generate_instances(GenParams(max_genres=4, max_items=5, max_k=4),
+                               "distributional", seed=seed + 1, n=trials)
+    mdr = []
+    for inst in insts:
+        ground = [(i, j) for i in inst.item_ids for j in range(1, inst.k + 1)]
+        R, T, e = oracle._random_nested_sets(rng, ground)
+        f = lambda S: fg_set(G, ItemPositionSet(frozenset(S)), inst)
+        fR, fT, fRe, fTe = f(R), f(T), f(R | {e}), f(T | {e})
+        ok = fT >= fR - 1e-9 and fRe - fR >= fTe - fT - 1e-9
+        mdr.append(None if ok else {"R": sorted(R), "T": sorted(T), "e": e,
+                                    "F(R)": fR, "F(T)": fT,
+                                    "F(R+e)": fRe, "F(T+e)": fTe})
+    smdr = []
+    for _ in range(trials):
+        genres, p, q = oracle._random_pair(rng)
+        g = int(rng.integers(0, len(genres)))
+        bumped = q.copy()
+        bumped[g] += 1e-6
+        hi, lo = float(G.value(p, bumped)), float(G.value(p, q))
+        smdr.append({"p": dict(zip(genres, p.tolist())),
+                     "q": dict(zip(genres, q.tolist())),
+                     "genre": genres[g], "before": lo, "after": hi}
+                    if hi < lo - 1e-9 else None)
+    return mdr, smdr
+
+
+def _ordered_trials(f, universe, k, trials, seed):
+    rng = np.random.default_rng(seed)
+    elems = sorted(universe)
+    for _ in range(trials):
+        s = [elems[int(r)] for r in rng.integers(0, len(elems), size=k)]
+        i = int(rng.integers(1, k + 1))
+        s_bar = elems[int(rng.integers(0, len(elems)))]
+        lhs = f(Sequence(tuple(s[:i]))) - f(Sequence(tuple(s[:i - 1])))
+        rhs = (f(Sequence(tuple(s)))
+               - f(Sequence(tuple(s[:i - 1] + [s_bar] + s[i:]))))
+        yield ({"sequence": s, "index": i, "substitute": s_bar,
+                "lhs": lhs, "rhs": rhs} if lhs < rhs - 1e-9 else None)
+
+
+def _set_to_sequence_trials(G, trials, seed):
+    rng = np.random.default_rng(seed)
+    for inst in generate_instances(GenParams(min_items=4, max_items=6, max_k=4),
+                                   "distributional", seed=seed, n=trials):
+        m = LaminarMatroid(inst.item_ids, inst.k)
+        pairs = m.ground_set()
+        rng.shuffle(pairs)
+        R = ItemPositionSet(max_weight_basis(
+            m, {e: -rank for rank, e in enumerate(pairs)}))
+        seq = set_to_sequence(R, inst, G)
+        yield ({"basis": sorted(R.pairs), "sequence": list(seq.entries)}
+               if seq_objective(G, seq, inst) < fg_set(G, R, inst) - 1e-12
+               else None)
+
+
+class TestFailingChecksMatchReferenceLoops:
+    """Counts and first counterexamples equal those of a per-trial loop."""
+
+    @staticmethod
+    def _same(res, trials, per_trial):
+        violations, ce = _tallied(per_trial)
+        assert (res.trials, res.violations, res.counterexample) == (
+            trials, violations, ce)
+        assert res.passed == (violations == 0)
+
+    @pytest.mark.parametrize("G", [kl_pseudo_measure(), _SHIFTED, _WIGGLY],
+                             ids=lambda G: G.name)
+    def test_axioms(self, G):
+        res = check_overlap_axioms(G, trials=120, seed=8)
+        assert res.violations > 0
+        self._same(res, 120, _axiom_trials(G, 120, 8))
+
+    @pytest.mark.parametrize("G", [_ANTI, _WIGGLY], ids=lambda G: G.name)
+    def test_mdr_and_smdr(self, G):
+        res = check_mdr(G, trials=80, seed=9)
+        mdr, smdr = _mdr_trials(G, 80, 9)
+        assert res.mdr.violations > 0 and res.smdr.violations > 0
+        self._same(res.mdr, 80, mdr)
+        self._same(res.smdr, 80, smdr)
+        assert not res.passed
+
+    def test_ordered_submodular(self):
+        def f(seq):  # adjacent equal entries: not ordered submodular
+            return float(sum(x == y for x, y in zip(seq, seq[1:])))
+
+        res = check_ordered_submodular(f, ["a", "b", "c"], k=4, trials=150, seed=10)
+        assert 0 < res.violations < 150
+        self._same(res, 150, _ordered_trials(f, ["a", "b", "c"], 4, 150, 10))
+
+    @pytest.mark.parametrize("G", [_ANTI, _WIGGLY], ids=lambda G: G.name)
+    def test_set_to_sequence(self, G):
+        res = check_set_to_sequence(G, trials=40, seed=11)
+        assert res.violations > 0
+        self._same(res, 40, _set_to_sequence_trials(G, 40, 11))
