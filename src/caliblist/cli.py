@@ -151,9 +151,12 @@ def cmd_solve(args) -> int:
 
 
 def _write_counterexample(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+            fh.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_verify(args) -> int:
@@ -203,15 +206,15 @@ def cmd_verify(args) -> int:
         out.update(passed=res.passed, violations=res.violations,
                    counterexample=res.counterexample)
 
-    passed = bool(out.get("passed"))
-    if out.get("counterexample") and args.out:
-        _write_counterexample(args.out, out["counterexample"])
     if args.machine:
         print(json.dumps(out, sort_keys=True, default=str))
     else:
         for key, val in out.items():
             print(f"{key}: {val}")
-    return 0 if passed else 2
+    # after the record, so a failed write does not lose the suite's result
+    if out.get("counterexample") and args.out:
+        _write_counterexample(args.out, out["counterexample"])
+    return 0 if out.get("passed") else 2
 
 
 # Each ratio suite's instance generator (bounds, mode), pass threshold and

@@ -16,7 +16,7 @@ gains and runner-ups, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -215,18 +215,26 @@ def discrete_greedy(inst: Instance) -> tuple[Sequence, GreedyTrace]:
 
 
 def truncate_instance(inst: Instance, length: int) -> Instance:
-    """Restrict to the first ``length`` positions, renormalizing the weights."""
+    """Restrict to the first ``length`` positions, renormalizing the weights.
+
+    The result shares the parent's dense core except ``w``, which is built
+    from its own weights (``PositionWeights`` may renormalize them again).
+    """
     if not 1 <= length <= inst.k:
         raise ValidationError(f"length {length} outside [1, {inst.k}]")
     w = inst.weights.w[:length]
     total = sum(w)
-    return Instance(
+    short = Instance(
         genres=inst.genres,
         target=inst.target,
         items=inst.items,
         weights=PositionWeights(tuple(v / total for v in w)),
         mode=inst.mode,
     )
+    short_w = np.array(short.weights.w)
+    short_w.setflags(write=False)
+    vars(short)["dense"] = replace(inst.dense, w=short_w)  # fills the cached property
+    return short
 
 
 def best_length_solve(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -197,75 +198,49 @@ def continuous_greedy(
     return FractionalPoint({e: min(v, 1.0) for e, v in zip(ground, x.tolist())})
 
 
-def _snap(x: dict[Pair, float], tol: float = 1e-12) -> None:
-    for e, v in x.items():
-        if abs(v) < tol:
-            x[e] = 0.0
-        elif abs(v - 1.0) < tol:
-            x[e] = 1.0
-
-
-def _swap_step(x: dict[Pair, float], a: Pair, b: Pair,
-               rng: np.random.Generator) -> None:
-    """Mean-preserving random shift between coordinates a and b."""
-    up = min(1.0 - x[a], x[b])
-    down = min(x[a], 1.0 - x[b])
-    if up + down <= 0:
-        return
-    if rng.random() < down / (up + down):
-        x[a] += up
-        x[b] -= up
-    else:
-        x[a] -= down
-        x[b] += down
-
-
 def pipage_round(m: Matroid, x: FractionalPoint, F: SetFunction | None,
                  seed: int) -> ItemPositionSet:
     """Round a polytope point to an independent set, lossless in expectation.
 
     Works by mean-preserving pairwise swaps; the multilinear extension is
     convex along every two-coordinate direction, so expected value never
-    decreases for submodular F. Swaps first leave at most one fractional
-    entry per position column. On the laminar matroid they then pair the
-    first two fractional entries in (position, item) order until one is
-    left. Each remaining entry is rounded by one Bernoulli draw, in item
-    order. The objective is not consulted. Integral inputs pass through as
-    their support.
+    decreases for submodular F. The fractional entries are kept in one list
+    in (position, item) order. Each pass swaps the first two entries of
+    every column that still holds two or more, in column order, until every
+    column holds at most one. On the laminar matroid, swaps then pair the
+    first two entries of the list until one is left. A swap moves one of its
+    two coordinates to 0 or 1 and snaps only those two, within 1e-12; no
+    other coordinate changed. Each remaining entry is rounded by one
+    Bernoulli draw, in item order. The objective is not consulted. Integral
+    inputs pass through as their support.
     """
     if not x.in_polytope(m, tol=1e-6):
         raise ValidationError("point outside the matroid polytope")
-    vals = {e: min(max(v, 0.0), 1.0) for e, v in x.x.items()}
-    _snap(vals)
+    snap = lambda v: 0.0 if abs(v) < 1e-12 else 1.0 if abs(v - 1.0) < 1e-12 else v
+    vals = {e: snap(min(max(v, 0.0), 1.0)) for e, v in x.x.items()}
     rng = np.random.default_rng(seed)
-    frac = lambda: [e for e, v in sorted(vals.items()) if 0.0 < v < 1.0]
-
-    # Consolidate within each position column; column sums are unchanged.
-    changed = True
-    while changed:
-        changed = False
-        by_col: dict[int, list[Pair]] = {}
-        for e in frac():
-            by_col.setdefault(e[1], []).append(e)
-        for col in sorted(by_col):
-            entries = by_col[col]
-            if len(entries) >= 2:
-                _swap_step(vals, entries[0], entries[1], rng)
-                _snap(vals)
-                changed = True
-
-    if isinstance(m, LaminarMatroid):
-        # Each column now holds at most one fractional entry. Pair the two
-        # leftmost fractional columns: a prefix ending between them holds
-        # integers plus the earlier entry, so filling that entry keeps it
-        # within its cap, and a shift to the later column lowers it.
-        by_position = lambda e: (e[1], e[0])
-        while len(entries := sorted(frac(), key=by_position)) >= 2:
-            _swap_step(vals, entries[0], entries[1], rng)
-            _snap(vals)
+    frac = sorted((e for e, v in vals.items() if 0.0 < v < 1.0),
+                  key=lambda e: (e[1], e[0]))
+    while len(frac) >= 2:
+        columns = (list(col) for _, col in groupby(frac, key=lambda e: e[1]))
+        pairs = [col[:2] for col in columns if len(col) >= 2]
+        if not pairs:
+            if not isinstance(m, LaminarMatroid):
+                break
+            # A prefix ending between the two leftmost fractional columns
+            # holds integers plus the earlier entry, so filling that entry
+            # keeps it within its cap, and a shift to the later one lowers it.
+            pairs = [frac[:2]]
+        for a, b in pairs:
+            up = min(1.0 - vals[a], vals[b])
+            down = min(vals[a], 1.0 - vals[b])
+            shift = up if rng.random() < down / (up + down) else -down
+            vals[a] = snap(vals[a] + shift)
+            vals[b] = snap(vals[b] - shift)
+        frac = [e for e in frac if 0.0 < vals[e] < 1.0]
     # At most one fractional entry is left per column (partition) or in
     # all (laminar), so rounding each on its own keeps the set independent.
-    for e in frac():
+    for e in sorted(frac):
         vals[e] = 1.0 if rng.random() < vals[e] else 0.0
 
     support = frozenset(e for e, v in vals.items() if v == 1.0)

@@ -205,6 +205,21 @@ class TestVerify:
         payload = json.loads(out.read_text())
         assert "p" in payload and "q" in payload
 
+    def test_out_directory_is_exit_1_after_the_record(self, capsys, tmp_path):
+        assert main(["verify", "--suite", "axioms", "--measure", "kl-mmr-demo",
+                     "--n", "3", "--out", str(tmp_path), "--machine"]) == 1
+        cap = capsys.readouterr()
+        assert json.loads(cap.out)["violations"] == 3
+        assert cap.err.startswith(f"error: cannot write {tmp_path}: ")
+
+    def test_out_missing_parent_is_exit_1_after_the_record(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "ce.json"
+        assert main(["verify", "--suite", "axioms", "--measure", "kl-mmr-demo",
+                     "--n", "3", "--out", str(out), "--machine"]) == 1
+        cap = capsys.readouterr()
+        assert json.loads(cap.out)["violations"] == 3
+        assert cap.err == f"error: cannot write {out}: No such file or directory\n"
+
     def test_mdr_suite(self, capsys):
         assert main(["verify", "--suite", "mdr", "--measure", "power:0.5",
                      "--n", "100"]) == 0

@@ -1,5 +1,6 @@
 """Unit tests for the generic and discrete greedy solvers."""
 
+import dataclasses
 import math
 
 import pytest
@@ -226,6 +227,16 @@ class TestBestLength:
         inst = discrete_instance({"g1": 0.5, "g2": 0.5}, (0.5, 0.3, 0.2))
         short = truncate_instance(inst, 2)
         assert short.weights.w == pytest.approx((0.625, 0.375), abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["distributional", "discrete"])
+    def test_truncate_shares_the_dense_core(self, mode):
+        inst = generate_instances(GenParams(min_k=3, max_k=5), mode, seed=3, n=1)[0]
+        short = truncate_instance(inst, 2)
+        fresh = dataclasses.replace(short).dense  # built from scratch
+        for name in ("genres", "p", "Q", "item_row", "row"):
+            assert getattr(short.dense, name) is getattr(inst.dense, name)
+        assert short.dense.w.tolist() == fresh.w.tolist()
+        assert not short.dense.w.flags.writeable
 
     def test_truncate_bounds(self):
         inst = discrete_instance({"g1": 1.0}, (1.0,))

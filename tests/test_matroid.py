@@ -1,5 +1,6 @@
 """Unit tests for matroids, continuous greedy, rounding, and sequencing."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -335,6 +336,14 @@ class TestSetToSequence:
         with pytest.raises(ValidationError):
             set_to_sequence(ItemPositionSet(frozenset({("i1", 1)})),
                             inst, hellinger_squared())
+
+    def test_short_catalog_cannot_fill_the_list(self):
+        inst = make_instance()
+        inst = dataclasses.replace(inst, items=inst.items[:2])  # i1, i2; k = 3
+        R = ItemPositionSet(frozenset({("i1", 1), ("i1", 2), ("i2", 3)}))
+        with pytest.raises(ValidationError,
+                           match="^not enough items to fill the list$"):
+            set_to_sequence(R, inst, hellinger_squared())
 
 
 class TestSetFunctionClosures:
