@@ -66,15 +66,7 @@ class SolveReport:
 
     def machine_record(self) -> dict:
         # wall-clock time is excluded so identical runs are byte-identical
-        return {
-            "algorithm": self.algorithm,
-            "measure": self.measure,
-            "seed": self.seed,
-            "sequence": list(self.sequence),
-            "value": self.value,
-            "gains": self.gains,
-            "length": self.length,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "duration"}
 
     def text(self) -> str:
         lines = [
@@ -170,10 +162,8 @@ def cmd_verify(args) -> int:
 
     res = None  # the suite's CheckResult, for the suites that tally one
     if suite == "axioms":
-        if args.measure == "kl-mmr-demo":
-            G = repro_mod.kl_pseudo_measure()
-        else:
-            G = parse_measure(args.measure)
+        G = (repro_mod.kl_pseudo_measure() if args.measure == "kl-mmr-demo"
+             else parse_measure(args.measure))
         res = oracle_mod.check_overlap_axioms(G, trials=args.n, seed=seed)
     elif suite == "mdr":
         G = parse_measure(args.measure)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Mapping
 
 import numpy as np
@@ -72,6 +73,13 @@ class Subdistribution:
         if not total <= 1 + TOL:  # also rejects +inf
             raise ValidationError(f"mass {total} exceeds 1")
         object.__setattr__(self, "weights", clean)
+
+    @classmethod
+    def from_positive(cls, weights: dict[str, float]) -> Subdistribution:
+        """Wrap positive float masses unchecked; their total is left to the caller."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "weights", weights)
+        return self
 
     def get(self, genre: str) -> float:
         return self.weights.get(genre, 0.0)
@@ -191,23 +199,24 @@ class Instance:
     @cached_property
     def dense(self) -> DenseCore:
         """The dense core, built on first use and kept with the instance."""
-        genres = sorted(set(self.genres).union(
-            self.target.weights, *(d.weights for _, d in self.items)))
+        dists = [d.weights for _, d in self.items]
+        genres = sorted(set(self.genres).union(self.target.weights, *dists))
         gidx = {g: n for n, g in enumerate(genres)}
-        p = np.zeros(len(genres))
+        m, n_items = len(genres), len(dists)
+        p = np.zeros(m)
         for g, v in self.target.items():
             p[gidx[g]] = v
-        n_items = len(self.items)
         unit = self.mode == "discrete"
-        Q = np.zeros((n_items + (len(genres) if unit else 0), len(genres)))
-        item_row: dict[str, int] = {}
-        for r, (i, d) in enumerate(self.items):
-            item_row.setdefault(i, r)
-            for g, v in d.items():
-                Q[r, gidx[g]] = v
+        Q = np.zeros((n_items + (m if unit else 0), m))
+        # all item masses in one scatter, at flat index row * m + column
+        flat = np.arange(n_items).repeat(list(map(len, dists))) * m
+        flat += np.fromiter(map(gidx.__getitem__, chain.from_iterable(dists)), int, len(flat))
+        np.put(Q, flat, np.fromiter(chain.from_iterable(map(dict.values, dists)),
+                                    float, len(flat)))
+        item_row = dict(zip(self.item_ids[::-1], range(n_items - 1, -1, -1)))  # first id wins
         row = item_row
         if unit:
-            Q[n_items:] = np.eye(len(genres))
+            Q[n_items:] = np.eye(m)
             row = {**item_row, **{g: n_items + n for g, n in gidx.items()}}
         w = np.array(self.weights.w)
         for a in (p, Q, w):
@@ -442,7 +451,8 @@ def concave(h: Callable[[float], float], h_prime: Callable[[float], float]) -> C
 def validate_instance(inst: Instance) -> Instance:
     """Check all structural invariants, returning the instance unchanged.
 
-    Raises :class:`ValidationError` describing the first violation found.
+    Raises :class:`ValidationError` describing the first violation found:
+    of the item checks, the first that fails, at the first item it flags.
     """
     genre_set = set(inst.genres)
     if len(genre_set) != len(inst.genres):
@@ -451,20 +461,22 @@ def validate_instance(inst: Instance) -> Instance:
         raise ValidationError(f"target mass {inst.target.total()} != 1")
     if not inst.target.support() <= genre_set:
         raise ValidationError("target uses undeclared genres")
-    seen = set()
-    for item_id, dist in inst.items:
-        if item_id in seen:
-            raise ValidationError(f"duplicate item id {item_id!r}")
-        seen.add(item_id)
-        if not dist.support() <= genre_set:
-            raise ValidationError(f"item {item_id!r} uses undeclared genres")
-        if not dist.is_full():
-            raise ValidationError(
-                f"item {item_id!r} mass {dist.total()} != 1")
-        if inst.mode == "discrete":
-            if len(dist.weights) != 1 or abs(dist.total() - 1.0) > TOL:
-                raise ValidationError(
-                    f"item {item_id!r} is not a point mass in discrete mode")
+    ids = inst.item_ids
+    dists = [d.weights for _, d in inst.items]
+    off = [abs(sum(d.values()) - 1.0) > TOL for d in dists]  # sums as total() does
+    for fails, message in (  # in a scan's order; a cheaper test may skip a check
+            ([sum(d.values()) > 1 + TOL for d in dists] if True in off else [],
+             "mass {t} exceeds 1"),
+            ([] if len(set(ids)) == len(ids) else
+             [ids.index(i) != n for n, i in enumerate(ids)], "duplicate item id {i!r}"),
+            ([] if genre_set.issuperset(chain.from_iterable(dists)) else
+             [not d.keys() <= genre_set for d in dists], "item {i!r} uses undeclared genres"),
+            (off, "item {i!r} mass {t} != 1"),
+            ([len(d) != 1 for d in dists] if inst.mode == "discrete" else [],
+             "item {i!r} is not a point mass in discrete mode")):
+        if True in fails:
+            n = fails.index(True)
+            raise ValidationError(message.format(i=ids[n], t=sum(dists[n].values())))
     if inst.mode not in ("distributional", "discrete"):
         raise ValidationError(f"unknown mode {inst.mode!r}")
     return inst

@@ -224,13 +224,7 @@ def truncate_instance(inst: Instance, length: int) -> Instance:
         raise ValidationError(f"length {length} outside [1, {inst.k}]")
     w = inst.weights.w[:length]
     total = sum(w)
-    short = Instance(
-        genres=inst.genres,
-        target=inst.target,
-        items=inst.items,
-        weights=PositionWeights(tuple(v / total for v in w)),
-        mode=inst.mode,
-    )
+    short = replace(inst, weights=PositionWeights(tuple(v / total for v in w)))
     short_w = np.array(short.weights.w)
     short_w.setflags(write=False)
     vars(short)["dense"] = replace(inst.dense, w=short_w)  # fills the cached property

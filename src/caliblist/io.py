@@ -9,7 +9,10 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Mapping
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .core import (
     Instance,
@@ -22,24 +25,18 @@ from .core import (
 __all__ = ["instance_to_dict", "instance_from_dict", "load_instance", "save_instance"]
 
 _FIELDS = {"genres", "target", "items", "weights", "k", "mode"}
+_ITEM_FIELDS = frozenset({"id", "dist"})
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    return {
-        "genres": list(inst.genres),
-        "target": {g: v for g, v in sorted(inst.target.items())},
-        "items": [
-            {"id": i, "dist": {g: v for g, v in sorted(d.items())}}
-            for i, d in inst.items
-        ],
-        "weights": list(inst.weights.w),
-        "k": inst.k,
-        "mode": inst.mode,
-    }
+    return {"genres": list(inst.genres), "target": dict(sorted(inst.target.items())),
+            "items": [{"id": i, "dist": dict(sorted(d.items()))} for i, d in inst.items],
+            "weights": list(inst.weights.w), "k": inst.k, "mode": inst.mode}
 
 
-_JSON_TYPES = {"a number": (int, float), "a string": str,
-               "a list": (list, tuple), "an object": Mapping}
+# each kind's usual python type comes first
+_JSON_TYPES = {"a number": (float, int), "a string": (str,),
+               "a list": (list, tuple), "an object": (dict, Mapping)}
 
 
 def _typed(v, kind: str, where: str):
@@ -53,29 +50,22 @@ def _typed(v, kind: str, where: str):
     return v
 
 
-def _numbers(values, where: str):
-    """Return ``values`` once each is checked to be a JSON number."""
-    if not set(map(type, values)) <= {float}:  # all floats: one pass in C
-        for v in values:
-            _typed(v, "a number", where)
-    return values
-
-
-def _strings(values, where: str):
-    """Return ``values`` once each is checked to be a JSON string."""
-    if not set(map(type, values)) <= {str}:  # one pass in C
-        for v in values:
-            _typed(v, "a string", where)
-    return values
-
-
-def _masses(v, where: str) -> Subdistribution:
-    masses = _typed(v, "an object", where)
-    _numbers(masses.values(), where)
-    return Subdistribution(masses)
+def _all(values, kind: str, where: str) -> bool:
+    """Check each of ``values`` for the JSON type ``kind``, value by value
+    unless one pass in C shows that all have its usual type: then return True."""
+    if set(map(type, values)) <= {_JSON_TYPES[kind][0]}:
+        return True
+    for v in values:
+        _typed(v, kind, where)
+    return False
 
 
 def instance_from_dict(data: dict) -> Instance:
+    """The checked instance of a JSON document; one type pass per kind of value.
+
+    Dists of positive floats only are wrapped unchecked, their totals left to
+    :func:`validate_instance`; any other dist converts ints and drops zeros.
+    """
     data = _typed(data, "an object", "instance")
     unknown = set(data) - _FIELDS
     if unknown:
@@ -83,28 +73,40 @@ def instance_from_dict(data: dict) -> Instance:
     missing = _FIELDS - set(data) - {"k"}
     if missing:
         raise ValidationError(f"missing instance fields: {sorted(missing)}")
-    weights = PositionWeights(tuple(
-        _numbers(_typed(data["weights"], "a list", "weights"), "weights")))
+    w = _typed(data["weights"], "a list", "weights")
+    _all(w, "a number", "weights")
+    weights = PositionWeights(tuple(w))
     if "k" in data and _typed(data["k"], "a number", "k") != weights.k:
         raise ValidationError(
             f"k={data['k']} does not match {weights.k} weights")
-    items = []
-    for entry in _typed(data["items"], "a list", "items"):
-        entry = _typed(entry, "an object", "item")
-        if entry.keys() != {"id", "dist"}:
-            extra = set(entry) - {"id", "dist"}
-            raise ValidationError(f"unknown item fields: {sorted(extra)}" if extra
-                                  else f"item needs an id and a dist: {entry!r}")
-        items.append((entry["id"], _masses(entry["dist"], "dist")))
-    _strings([i for i, _ in items], "item id")
-    inst = Instance(
-        genres=tuple(_strings(_typed(data["genres"], "a list", "genres"), "genre id")),
-        target=_masses(data["target"], "target"),
-        items=tuple(items),
+    entries = _typed(data["items"], "a list", "items")
+    if not (_all(entries, "an object", "item")
+            and set(map(frozenset, entries)) <= {_ITEM_FIELDS}):
+        for entry in entries:
+            if entry.keys() != _ITEM_FIELDS:
+                extra = set(entry) - _ITEM_FIELDS
+                raise ValidationError(f"unknown item fields: {sorted(extra)}" if extra
+                                      else f"item needs an id and a dist: {entry!r}")
+    dists = [e["dist"] for e in entries]
+    _all(dists, "an object", "dist")
+    masses = list(chain.from_iterable(d.values() for d in dists))
+    clean = (_all(masses, "a number", "dist")
+             and (np.fromiter(masses, float, len(masses)) > 0).all())
+    dists = list(map(Subdistribution.from_positive if clean else Subdistribution,
+                     map(dict, dists)))
+    ids = [e["id"] for e in entries]
+    _all(ids, "a string", "item id")
+    genres = _typed(data["genres"], "a list", "genres")
+    _all(genres, "a string", "genre id")
+    target = _typed(data["target"], "an object", "target")
+    _all(target.values(), "a number", "target")
+    return validate_instance(Instance(
+        genres=tuple(genres),
+        target=Subdistribution(target),
+        items=tuple(zip(ids, dists)),
         weights=weights,
         mode=_typed(data["mode"], "a string", "mode"),
-    )
-    return validate_instance(inst)
+    ))
 
 
 def load_instance(path: str | Path) -> Instance:

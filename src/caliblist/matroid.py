@@ -382,6 +382,8 @@ def solve_with_repeats(
     seed: int = 42,
 ) -> tuple[Sequence, float]:
     """Continuous greedy + rounding on the partition matroid (repeats allowed)."""
+    if not inst.items:
+        raise ValidationError("need at least one item to fill the list")
     m = PartitionMatroid(inst.item_ids, inst.k)
     F = hatfg_function(G, inst)
     x = continuous_greedy(F, m, steps=steps, samples=samples, seed=seed)

@@ -192,6 +192,19 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "discrete-mode" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--best-length"], ["--allow-repeats"]])
+    @pytest.mark.parametrize("file", ["instance_file", "discrete_file"])
+    def test_continuous_repeats_needs_an_item(self, request, tmp_path, capsys,
+                                              file, flags):
+        # it used to fill the list with the first of no items: an IndexError
+        data = json.loads(Path(request.getfixturevalue(file)).read_text())
+        data["items"] = []
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path), "--algorithm", "continuous-repeats",
+                     "--steps", "2", "--samples", "2", *flags]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestVerify:
     def test_axioms_pass_for_hellinger(self, capsys):
