@@ -34,7 +34,6 @@ def instance_to_dict(inst: Instance) -> dict:
             "weights": list(inst.weights.w), "k": inst.k, "mode": inst.mode}
 
 
-# each kind's usual python type comes first
 _JSON_TYPES = {"a number": (float, int), "a string": (str,),
                "a list": (list, tuple), "an object": (dict, Mapping)}
 
@@ -51,8 +50,8 @@ def _typed(v, kind: str, where: str):
 
 
 def _all(values, kind: str, where: str) -> bool:
-    """Check each of ``values`` for the JSON type ``kind``, value by value
-    unless one pass in C shows that all have its usual type: then return True."""
+    """Check that each of ``values`` has the JSON type ``kind``; True if all have
+    its usual (first) type, which one pass in C shows without a per-value check."""
     if set(map(type, values)) <= {_JSON_TYPES[kind][0]}:
         return True
     for v in values:

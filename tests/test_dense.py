@@ -404,3 +404,83 @@ class TestItemDist:
         assert inst.dense is core
         with pytest.raises(ValueError):
             core.Q[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# Loaded instances: the flat loader against Subdistribution-built instances
+# ---------------------------------------------------------------------------
+
+# a mass as a document may write it: zeros, -0.0 and integers included
+_doc_mass = st.one_of(st.just(0.0), st.just(-0.0), st.just(0), st.floats(0.01, 1.0))
+
+
+@st.composite
+def documents(draw):
+    """A valid instance document. Half of them write only positive floats;
+    in the others masses may be 0, -0.0 or integers, and dists may carry
+    zero masses on undeclared genres."""
+    mode = draw(st.sampled_from(["distributional", "discrete"]))
+    genres = [f"g{n}" for n in range(draw(st.integers(1, 6)))]
+    messy = draw(st.booleans())
+    mass = _doc_mass if messy else st.floats(0.01, 1.0)
+
+    def dist(point=False):
+        if point or draw(st.booleans()) and draw(st.booleans()):
+            g = draw(st.sampled_from(genres))
+            d = {g: draw(st.sampled_from([1, 1.0] if messy else [1.0]))}
+        else:
+            raw = draw(st.lists(mass, min_size=len(genres), max_size=len(genres)))
+            if not any(raw):
+                raw[0] = 1
+            d = {g: v / sum(raw) if v else v for g, v in zip(genres, raw)}
+        for g in draw(st.lists(st.sampled_from(genres + ["zz"]), max_size=2 * messy)):
+            d.setdefault(g, draw(st.sampled_from([0, 0.0, -0.0])))
+        return dict(sorted(d.items(), key=lambda _: draw(st.integers(0, 9))))
+
+    n_items = len(genres) if mode == "discrete" else draw(st.integers(0, 8))
+    raw_w = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8))
+    return {"genres": genres, "target": dist(),
+            "items": [{"id": f"i{n}", "dist": dist(point=mode == "discrete")}
+                      for n in range(n_items)],
+            "weights": sorted((v / sum(raw_w) for v in raw_w), reverse=True),
+            "mode": mode}
+
+
+def ref_Q(inst):
+    """The item matrix written one mass at a time over the sorted genres."""
+    genres = sorted(inst.genres)
+    unit = len(genres) if inst.mode == "discrete" else 0
+    Q = np.zeros((len(inst.items) + unit, len(genres)))
+    for r, (_, d) in enumerate(inst.items):
+        for g, v in d.items():
+            Q[r, genres.index(g)] = v
+    Q[len(inst.items):] = np.eye(len(genres))[:unit]
+    return Q
+
+
+def _same_array(a, b):
+    return a.shape == b.shape and (a == b).all() and (np.signbit(a) == np.signbit(b)).all()
+
+
+@given(documents())
+@settings(max_examples=300, deadline=None)
+def test_loaded_instance_equals_the_subdistribution_built_one(doc):
+    from dataclasses import replace
+
+    from caliblist.io import instance_from_dict, instance_to_dict
+
+    inst = instance_from_dict(doc)
+    built = validate_instance(Instance(
+        genres=tuple(doc["genres"]), target=Subdistribution(doc["target"]),
+        items=tuple((e["id"], Subdistribution(e["dist"])) for e in doc["items"]),
+        weights=PositionWeights(tuple(doc["weights"])), mode=doc["mode"]))
+    assert inst == built
+    # == takes 1 for 1.0; the documents they write must match too
+    assert repr(instance_to_dict(inst)) == repr(instance_to_dict(built))
+    core, fresh = inst.dense, replace(inst).dense
+    for name in ("p", "Q", "w"):
+        assert _same_array(getattr(core, name), getattr(fresh, name))
+    for name in ("genres", "item_row", "row"):
+        assert getattr(core, name) == getattr(fresh, name)
+    assert _same_array(core.Q, ref_Q(inst))
+    assert not np.signbit(core.Q).any() and not np.signbit(core.p).any()
