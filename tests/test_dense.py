@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from caliblist.core import (
 )
 from caliblist import matroid
 from caliblist.greedy import sequence_objective_fn, truncate_instance
+from caliblist.io import instance_from_dict, instance_to_dict
 from caliblist.matroid import (
     LaminarMatroid,
     PartitionMatroid,
@@ -465,10 +467,6 @@ def _same_array(a, b):
 @given(documents())
 @settings(max_examples=300, deadline=None)
 def test_loaded_instance_equals_the_subdistribution_built_one(doc):
-    from dataclasses import replace
-
-    from caliblist.io import instance_from_dict, instance_to_dict
-
     inst = instance_from_dict(doc)
     built = validate_instance(Instance(
         genres=tuple(doc["genres"]), target=Subdistribution(doc["target"]),
