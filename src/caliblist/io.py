@@ -91,8 +91,8 @@ def instance_from_dict(data: dict) -> Instance:
     masses = list(chain.from_iterable(d.values() for d in dists))
     clean = (_all(masses, "a number", "dist")
              and (np.fromiter(masses, float, len(masses)) > 0).all())
-    dists = list(map(Subdistribution.from_positive if clean else Subdistribution,
-                     map(dict, dists)))
+    subs = list(map(Subdistribution.from_positive if clean else Subdistribution,
+                    map(dict, dists)))
     ids = [e["id"] for e in entries]
     _all(ids, "a string", "item id")
     genres = _typed(data["genres"], "a list", "genres")
@@ -102,7 +102,7 @@ def instance_from_dict(data: dict) -> Instance:
     return validate_instance(Instance(
         genres=tuple(genres),
         target=Subdistribution(target),
-        items=tuple(zip(ids, dists)),
+        items=tuple(zip(ids, subs)),
         weights=weights,
         mode=_typed(data["mode"], "a string", "mode"),
     ))
