@@ -6,16 +6,17 @@ ordered-submodular objectives), and a specialized discrete-genre greedy that
 packs position weight into genre bins using closed-form square-root gains
 (2/3-approximate under the squared-Hellinger overlap).
 
-The sequence greedy scores all candidates of a position in one batch on
-``Instance.dense`` when the objective is the package's own
-:class:`ListObjective` (what :func:`sequence_objective_fn` returns); any
-other callable is called once per candidate. Both give the same list,
-gains and runner-ups, bit for bit.
+The sequence greedy takes the universe's rows of ``Instance.dense.Q`` once
+and scores every position over all of them in one batch when the objective
+is the package's own :class:`ListObjective` (what
+:func:`sequence_objective_fn` returns); any other callable is called once
+per candidate. Both give the same list, gains and runner-ups, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -77,18 +78,23 @@ class ListObjective:
     def __call__(self, seq: Sequence) -> float:
         return seq_objective(self.G, seq, self.inst)
 
-    def extension_values(self, seq: Sequence, elements: list[str]) -> np.ndarray:
-        """``self(seq.append(e))`` for each element e, in one evaluation.
+    def extension_scorer(self, elements: list[str]) -> Callable[[Sequence], np.ndarray]:
+        """A function giving ``self(seq.append(e))`` for each of ``elements``.
 
-        The prefix mixture plus ``w_j · Q_e`` adds in the order of
-        :meth:`DenseCore.mixture`, so every value equals the call's.
+        The elements' rows are taken once. Each call adds ``w_j · Q_e`` to the
+        prefix mixture in the order of :meth:`DenseCore.mixture`, in one batch,
+        so every value equals the call's.
         """
         core, k = self.inst.dense, self.inst.k
-        if len(seq) >= k:
-            raise ValidationError(f"sequence longer than k={k}")
-        q = core.mixture([core.row[e] for e in seq], core.w[:len(seq)])
-        rows = [core.row[e] for e in elements]
-        return self.G.value_batch(core.p, q + core.w[len(seq)] * core.Q.take(rows, 0))
+        Q = core.Q.take([core.row[e] for e in elements], 0)
+
+        def values(seq: Sequence) -> np.ndarray:
+            if len(seq) >= k:
+                raise ValidationError(f"sequence longer than k={k}")
+            q = core.mixture([core.row[e] for e in seq], core.w[:len(seq)])
+            return self.G.value_batch(core.p, q + core.w[len(seq)] * Q)
+
+        return values
 
 
 def sequence_objective_fn(G: OverlapMeasure, inst: Instance) -> ListObjective:
@@ -130,27 +136,28 @@ def greedy_sequence(
     if not universe:
         raise ValidationError("empty universe")
     elements = sorted(universe)
+    dead = np.zeros(len(elements), bool)  # picked, when repeats are disallowed
+    left = len(elements)
     if isinstance(objective, ListObjective):
-        score = objective.extension_values
+        score = objective.extension_scorer(elements)
     else:
-        score = lambda seq, candidates: [objective(seq.append(e)) for e in candidates]
+        score = lambda seq: [-math.inf if out else objective(seq.append(e))
+                             for e, out in zip(elements, dead.tolist())]
     seq = Sequence()
-    used: set[str] = set()
     trace = GreedyTrace()
     current = objective(seq)
     for pos in range(1, k + 1):
-        candidates = elements if allow_repeats else [
-            e for e in elements if e not in used]
-        if not candidates:
+        if not left:
             raise ValidationError(f"universe exhausted at position {pos}")
-        vals = np.array(score(seq, candidates), dtype=float)
+        vals = np.array(score(seq), dtype=float)
+        vals[dead] = -np.inf  # never kept, so picked elements drop out
         b, r = _best_two(vals)
         best = runner = None
         best_val = runner_val = -math.inf
         if b is not None:
-            best, best_val = candidates[b], float(vals[b])
+            best, best_val = elements[b], float(vals[b])
         if r is not None:
-            runner, runner_val = candidates[r], float(vals[r])
+            runner, runner_val = elements[r], float(vals[r])
         # Objectives may use -inf as an "undefined on this prefix" sentinel
         # (e.g. log-of-mixture scores on the empty list); gains are then
         # reported relative to zero.
@@ -158,7 +165,10 @@ def greedy_sequence(
         trace.record(GreedyStep(pos, best, best_val - base,
                                 runner, runner_val - base))
         seq = seq.append(best)
-        used.add(best)
+        if not allow_repeats:  # every copy of a repeated universe entry
+            lo, hi = bisect_left(elements, best), bisect_right(elements, best)
+            dead[lo:hi] = True
+            left -= hi - lo
         current = best_val
     return seq, trace
 

@@ -1,7 +1,8 @@
 """Instance (de)serialization for the CLI file format.
 
 Instances are stored as a single JSON document with explicit mode; unknown
-fields are rejected so that typos fail loudly.
+fields are rejected so that typos fail loudly. Files are parsed with
+``orjson`` when it is installed, with the same outcome as ``json``.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Mapping
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -63,7 +65,9 @@ def instance_from_dict(data: dict) -> Instance:
     """The checked instance of a JSON document; one type pass per kind of value.
 
     Dists of positive floats only are wrapped unchecked, their totals left to
-    :func:`validate_instance`; any other dist converts ints and drops zeros.
+    :func:`validate_instance`; the instance keeps these dicts of the document,
+    so the document must not change afterwards. Any other dist converts ints
+    and drops zeros.
     """
     data = _typed(data, "an object", "instance")
     unknown = set(data) - _FIELDS
@@ -92,7 +96,7 @@ def instance_from_dict(data: dict) -> Instance:
     clean = (_all(masses, "a number", "dist")
              and (np.fromiter(masses, float, len(masses)) > 0).all())
     subs = list(map(Subdistribution.from_positive if clean else Subdistribution,
-                    map(dict, dists)))
+                    dists))
     ids = [e["id"] for e in entries]
     _all(ids, "a string", "item id")
     genres = _typed(data["genres"], "a list", "genres")
@@ -108,7 +112,35 @@ def instance_from_dict(data: dict) -> Instance:
     ))
 
 
+@cache
+def _orjson():
+    """The ``orjson`` module, or None when it is not installed.
+
+    It is imported at the first load: it brings in ``uuid`` and ``zoneinfo``
+    (≈8 ms), which a process that loads no file does not need.
+    """
+    try:
+        import orjson
+    except ImportError:  # optional: ``json`` alone gives the same outcomes
+        return None
+    return orjson
+
+
 def load_instance(path: str | Path) -> Instance:
+    """The checked instance in the JSON file ``path``.
+
+    ``orjson`` and ``json`` differ only where no valid instance can be:
+    ``orjson`` rejects NaN, infinities, lone surrogates and a BOM, reads
+    integers past 64 bits as floats, and accepts nesting past the recursion
+    limit. So any failure of the fast path reruns ``json``, and its instance
+    or error is the outcome.
+    """
+    fast = _orjson()
+    if fast is not None:
+        try:
+            return instance_from_dict(fast.loads(Path(path).read_bytes()))
+        except (OSError, fast.JSONDecodeError, ValidationError, RecursionError):
+            pass
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)

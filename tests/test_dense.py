@@ -224,7 +224,7 @@ def test_every_objective_evaluates_over_the_instance_genres():
     R = ItemPositionSet({("a", 1), ("b", 2)})
     got = [seq_objective(G, seq, inst), fg_set(G, R, inst), hatfg_set(G, R, inst),
            fg_function(G, inst)(R.pairs), hatfg_function(G, inst)(R.pairs),
-           *sequence_objective_fn(G, inst).extension_values(seq, ["a", "b"]),
+           *sequence_objective_fn(G, inst).extension_scorer(["a", "b"])(seq),
            exhaustive_opt(inst, measure=G)[1]]
     assert got == [3.0] * 8
 

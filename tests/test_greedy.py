@@ -136,10 +136,34 @@ class TestGreedySequence:
                             ["a", "b"], k=1)
 
 
-def _outcome(objective, universe, k, allow_repeats):
+def _scan(objective, universe, k, allow_repeats):
+    """The sequence greedy as a plain scan of the candidates not yet picked,
+    keeping ``if v > best`` / ``elif v > runner``."""
+    seq, trace, current = Sequence(), GreedyTrace(), objective(Sequence())
+    for pos in range(1, k + 1):
+        candidates = [e for e in sorted(universe)
+                      if allow_repeats or e not in seq.entries]
+        if not candidates:
+            raise ValidationError(f"universe exhausted at position {pos}")
+        best = runner = None
+        best_val = runner_val = -math.inf
+        for e in candidates:
+            val = objective(seq.append(e))
+            if val > best_val:
+                runner, runner_val = best, best_val
+                best, best_val = e, val
+            elif val > runner_val:
+                runner, runner_val = e, val
+        base = current if math.isfinite(current) else 0.0
+        trace.record(GreedyStep(pos, best, best_val - base, runner, runner_val - base))
+        seq, current = seq.append(best), best_val
+    return seq, trace
+
+
+def _outcome(objective, universe, k, allow_repeats, solve=greedy_sequence):
     """The list and steps of a greedy run, or the message it raised."""
     try:
-        return greedy_sequence(objective, universe, k, allow_repeats)
+        return solve(objective, universe, k, allow_repeats)
     except ValidationError as exc:
         return str(exc)
 
@@ -164,10 +188,16 @@ class TestBatchedGreedy:
         # k one past the instance's own reaches its length error
         k = data.draw(st.integers(1, inst.k + 1))
         universe = list(inst.universe())
+        # strict sub-universes and repeated entries pin the masking of picked
+        # elements against a scan of the candidates not yet picked
+        if len(universe) > 1 and data.draw(st.booleans()):
+            universe = data.draw(st.lists(st.sampled_from(universe), min_size=1,
+                                          max_size=len(universe) - 1, unique=True))
+        universe += data.draw(st.lists(st.sampled_from(universe), max_size=3))
+        by_call = lambda s: seq_objective(G, s, inst)
         batched = _outcome(sequence_objective_fn(G, inst), universe, k, allow_repeats)
-        by_call = _outcome(lambda s: seq_objective(G, s, inst), universe, k,
-                           allow_repeats)
-        assert batched == by_call
+        assert batched == _outcome(by_call, universe, k, allow_repeats)
+        assert batched == _outcome(by_call, universe, k, allow_repeats, _scan)
 
     def test_length_and_exhaustion_errors_match(self):
         inst = generate_instances(GenParams(min_items=3, max_items=3, min_k=2,
@@ -197,29 +227,7 @@ class TestBatchedGreedy:
                                    max_size=n * k))
         elements = [f"e{i}" for i in range(n)]
         f = lambda s: table[(len(s) - 1) * n + elements.index(s[-1])] if s else 0.0
-
-        def scan():
-            seq, trace, current = Sequence(), GreedyTrace(), f(Sequence())
-            for pos in range(1, k + 1):
-                best = runner = None
-                best_val = runner_val = -math.inf
-                for e in elements:
-                    val = f(seq.append(e))
-                    if val > best_val:
-                        runner, runner_val = best, best_val
-                        best, best_val = e, val
-                    elif val > runner_val:
-                        runner, runner_val = e, val
-                trace.record(GreedyStep(pos, best, best_val - current, runner,
-                                        runner_val - current))
-                seq, current = seq.append(best), best_val
-            return seq, trace
-
-        try:
-            want = scan()
-        except ValidationError as exc:
-            want = str(exc)
-        assert _outcome(f, elements, k, True) == want
+        assert _outcome(f, elements, k, True) == _outcome(f, elements, k, True, _scan)
 
 
 class TestBestLength:

@@ -1,8 +1,17 @@
 """Unit tests for the JSON instance format."""
 
-import pytest
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
 
-from caliblist.core import ValidationError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import caliblist.io
+from caliblist.core import Instance, ValidationError
 from caliblist.io import (
     instance_from_dict,
     instance_to_dict,
@@ -11,6 +20,7 @@ from caliblist.io import (
 )
 
 from test_core import make_instance
+from test_golden_load import GOLDEN, documents
 
 
 def test_round_trip_preserves_instance(tmp_path):
@@ -88,3 +98,127 @@ def test_non_string_ids_rejected(field, value):
         data["mode"] = value
     with pytest.raises(ValidationError, match="expected a string"):
         instance_from_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# One outcome whichever parser reads the file
+# ---------------------------------------------------------------------------
+
+
+def _outcome(path):
+    """The instance in ``path``, or the ``error:`` line the CLI would print."""
+    try:
+        return load_instance(path)
+    except ValidationError as exc:
+        return f"error: {exc}"
+
+
+def _both_parsers(path):
+    """Outcomes with ``orjson`` (when installed) and with ``json`` alone."""
+    fast = _outcome(path)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(caliblist.io, "_orjson", lambda: None)
+        slow = _outcome(path)
+    return fast, slow
+
+
+def _write(path, content):
+    if isinstance(content, str):
+        content = content.encode("utf-8", "surrogatepass")
+    path.write_bytes(content)
+    return path
+
+
+def test_golden_documents_load_alike(tmp_path):
+    path = tmp_path / "doc.json"
+    records = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    for (name, doc), record in zip(documents(), records, strict=True):
+        fast, slow = _both_parsers(_write(path, json.dumps(doc)))
+        assert fast == slow, name
+        if "instance" in record:
+            assert instance_to_dict(fast) == record["instance"], name
+
+
+def _text(**changes):
+    """The round-trip document of ``make_instance`` with raw JSON text values."""
+    data = {key: json.dumps(value) for key, value in
+            instance_to_dict(make_instance()).items()}
+    data.update(changes)
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in data.items()) + "}"
+
+
+_ITEMS = instance_to_dict(make_instance())["items"]
+
+
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+_DEEP = _nested(100_000)
+_LIMIT = sys.getrecursionlimit()
+
+LOAD_CASES = {
+    "valid": _text(),
+    "NaN mass": _text(target='{"g1": NaN, "g2": 0.5}'),
+    "Infinity weight": _text(weights="[Infinity, 0.3, 0.2]"),
+    "1e400 mass": _text(target='{"g1": 1e400, "g2": 0.5}'),
+    "30-digit k": _text(k="1" * 30),
+    "30-digit id": _text(items=json.dumps(_ITEMS).replace('"i1"', "1" * 30)),
+    "deep document": _DEEP,
+    "deep genres": _text(genres=_DEEP),
+    "genres below the recursion limit": _text(genres=_nested(_LIMIT - 10)),
+    "genres past the recursion limit": _text(genres=_nested(_LIMIT + 10)),
+    "deep unknown field": _text(extra=_DEEP),
+    "lone surrogate id": _text(items=json.dumps(_ITEMS).replace('"i1"', '"\\ud800"')),
+    "lone surrogate raw": _text(items=json.dumps(_ITEMS).replace('"i1"', '"\ud800"')),
+    "BOM": "\ufeff" + _text(),
+    "invalid UTF-8": _text().encode().replace(b'"i1"', b'"i\xff"'),
+    "CRLF": _text().replace(", ", ",\r\n"),
+    "malformed CRLF": _text().replace(", ", ",\r\n").replace('"mode"', "mode"),
+    "duplicate keys": _text(k="2, \"k\": 3"),
+    "duplicate genre keys": _text(target='{"g1": 0.25, "g2": 0.5, "g1": 0.5}'),
+    "empty": "",
+    "trailing data": _text() + " []",
+}
+VALID_CASES = {"valid", "lone surrogate id", "CRLF", "duplicate keys",
+               "duplicate genre keys"}
+
+
+@pytest.mark.parametrize("case", LOAD_CASES)
+def test_each_parser_gives_the_same_outcome(tmp_path, case):
+    fast, slow = _both_parsers(_write(tmp_path / "doc.json", LOAD_CASES[case]))
+    assert fast == slow
+    if case in VALID_CASES:
+        assert isinstance(fast, Instance)
+    else:
+        assert fast.startswith("error: ")
+
+
+def test_directory_gives_the_same_error(tmp_path):
+    fast, slow = _both_parsers(tmp_path)
+    assert fast == slow == f"error: cannot read {tmp_path}: Is a directory"
+
+
+def test_a_valid_file_is_read_without_json(tmp_path, monkeypatch):
+    pytest.importorskip("orjson")
+    path = _write(tmp_path / "doc.json", LOAD_CASES["valid"])
+    monkeypatch.setattr(caliblist.io.json, "load", None)
+    assert load_instance(path) == make_instance()
+
+
+@given(st.lists(st.floats(min_value=5e-324, max_value=1.0), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_float_masses_load_back_bit_equal(xs):
+    total = math.fsum(xs)
+    masses = sorted((x / total for x in xs), reverse=True)
+    genres = [f"g{n}" for n in range(len(masses))]
+    dist = dict(zip(genres, masses))
+    doc = {"genres": genres, "target": dist, "items": [{"id": "a", "dist": dist}],
+           "weights": masses, "mode": "distributional"}
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, slow = _both_parsers(_write(Path(tmp) / "doc.json", json.dumps(doc)))
+    assert fast == slow
+    if isinstance(fast, Instance):
+        for inst in (fast, slow):
+            assert inst.items[0][1].weights == {g: m for g, m in dist.items() if m > 0}
+            assert inst.target.weights == {g: m for g, m in dist.items() if m > 0}
