@@ -1,20 +1,20 @@
 """Provably near-calibrated recommendation lists under decaying attention."""
 
 from .core import (
+    ConcaveOverlap,
+    FDivergenceOverlap,
+    HellingerSquared,
     Instance,
     ItemPositionSet,
     OverlapMeasure,
     PositionWeights,
+    PowerOverlap,
     Sequence,
     Subdistribution,
     ValidationError,
-    concave,
-    f_divergence,
     fg_set,
     hatfg_set,
-    hellinger_squared,
     induced_distribution,
-    power,
     seq_objective,
     validate_instance,
 )

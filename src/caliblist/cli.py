@@ -20,11 +20,11 @@ from . import matroid as matroid_mod
 from . import oracle as oracle_mod
 from . import repro as repro_mod
 from .core import (
+    HellingerSquared,
     OverlapMeasure,
+    PowerOverlap,
     Sequence,
     ValidationError,
-    hellinger_squared,
-    power,
     seq_objective,
 )
 from .io import load_instance
@@ -34,14 +34,14 @@ DEFAULT_SEED = 42
 
 def parse_measure(spec: str) -> OverlapMeasure:
     if spec == "hellinger":
-        return hellinger_squared()
+        return HellingerSquared()
     if spec.startswith("power:"):
         beta = spec.split(":", 1)[1]
         try:
             value = float(beta)
         except ValueError:
             raise ValidationError(f"beta must be a number, got {beta!r}") from None
-        return power(value)
+        return PowerOverlap(value)
     raise ValidationError(
         f"unknown measure {spec!r}; use 'hellinger' or 'power:<beta>'")
 
@@ -96,7 +96,7 @@ def _solve_one(inst, args, G) -> tuple[Sequence, float, list[float]]:
     if algo == "exhaustive":
         seq, val = oracle_mod.exhaustive_opt(
             inst, measure=G,
-            allow_repeats=args.allow_repeats if args.allow_repeats else None)
+            allow_repeats=args.allow_repeats or None)
         return seq, val, []
     if algo == "continuous":
         if args.allow_repeats:  # its laminar matroid holds each item once

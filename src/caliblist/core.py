@@ -35,10 +35,6 @@ __all__ = [
     "FDivergenceOverlap",
     "ConcaveOverlap",
     "CustomMeasure",
-    "hellinger_squared",
-    "power",
-    "f_divergence",
-    "concave",
     "validate_instance",
     "induced_distribution",
     "seq_objective",
@@ -89,9 +85,6 @@ class Subdistribution:
 
     def is_full(self) -> bool:
         return abs(self.total() - 1.0) <= TOL
-
-    def support(self) -> frozenset[str]:
-        return frozenset(self.weights)
 
     def items(self):
         return self.weights.items()
@@ -273,10 +266,6 @@ class ItemPositionSet:
     def __iter__(self):
         return iter(self.pairs)
 
-    def earliest_positions(self) -> dict[str, int]:
-        """Earliest position of each item appearing in the set."""
-        return earliest(self.pairs)
-
 
 def earliest(pairs) -> dict[str, int]:
     """Earliest position of each item, in the order items first appear."""
@@ -427,22 +416,6 @@ class CustomMeasure(OverlapMeasure):
         return float(self._fn(p, q))
 
 
-def hellinger_squared() -> HellingerSquared:
-    return HellingerSquared()
-
-
-def power(beta: float) -> PowerOverlap:
-    return PowerOverlap(beta)
-
-
-def f_divergence(f: Callable[[float], float], d_star: float) -> FDivergenceOverlap:
-    return FDivergenceOverlap(f, d_star)
-
-
-def concave(h: Callable[[float], float], h_prime: Callable[[float], float]) -> ConcaveOverlap:
-    return ConcaveOverlap(h, h_prime)
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -459,7 +432,7 @@ def validate_instance(inst: Instance) -> Instance:
         raise ValidationError("duplicate genre ids")
     if not inst.target.is_full():
         raise ValidationError(f"target mass {inst.target.total()} != 1")
-    if not inst.target.support() <= genre_set:
+    if not inst.target.weights.keys() <= genre_set:
         raise ValidationError("target uses undeclared genres")
     ids = inst.item_ids
     dists = [d.weights for _, d in inst.items]
@@ -507,7 +480,7 @@ def seq_objective(G: OverlapMeasure, seq: Sequence, inst: Instance) -> float:
 def fg_set(G: OverlapMeasure, R: ItemPositionSet, inst: Instance) -> float:
     """Set extension where each item contributes at its earliest position only."""
     _check_pairs(R, inst)
-    return inst.dense.pairs_value(G, R.earliest_positions().items())
+    return inst.dense.pairs_value(G, earliest(R).items())
 
 
 def hatfg_set(G: OverlapMeasure, R: ItemPositionSet, inst: Instance) -> float:

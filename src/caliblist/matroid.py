@@ -34,7 +34,6 @@ __all__ = [
     "LaminarMatroid",
     "FractionalPoint",
     "max_weight_basis",
-    "multilinear_estimate",
     "continuous_greedy",
     "pipage_round",
     "set_to_sequence",
@@ -61,10 +60,8 @@ class _PairMatroid:
     k: int
 
     def ground_set(self) -> list[Pair]:
-        return [(i, j) for j in range(1, self.k + 1) for i in sorted(self.item_ids)]
-
-    def basis_size(self) -> int:
-        return self.k
+        items = sorted(self.item_ids)
+        return [(i, j) for j in range(1, self.k + 1) for i in items]
 
     def fits(self, sums, tol: float = 0.0) -> bool:
         """Whether per-position totals ``sums[1..k]`` meet every constraint."""
@@ -115,7 +112,7 @@ def max_weight_basis(m: Matroid, weights: dict[Pair, float]) -> frozenset:
             counts[e[1]] -= 1
             continue
         chosen.add(e)
-        if len(chosen) == m.basis_size():
+        if len(chosen) == m.k:
             break
     return frozenset(chosen)
 
@@ -136,19 +133,6 @@ class FractionalPoint:
         for (_, j), v in self.x.items():
             sums[j] += v
         return m.fits(sums, tol)
-
-
-def multilinear_estimate(F: SetFunction, x: FractionalPoint, samples: int, seed: int) -> float:
-    """Monte-Carlo estimate of E[F(R(x))] with independent pair inclusion."""
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    pairs = sorted(x.x)
-    probs = np.array([x.x[e] for e in pairs])
-    S = np.random.default_rng(seed).random((samples, len(pairs))) < probs
-    total = 0.0
-    for row in S.tolist():
-        total += F(frozenset(e for e, inside in zip(pairs, row) if inside))
-    return total / samples
 
 
 def _mean_gains_by_call(F: SetFunction, ground: list[Pair], S: np.ndarray) -> np.ndarray:
@@ -260,7 +244,7 @@ def set_to_sequence(R: ItemPositionSet, inst: Instance,
     m = LaminarMatroid(inst.item_ids, inst.k)
     if len(R) != inst.k or not m.independent(R.pairs):
         raise ValidationError("R is not a basis of the laminar matroid")
-    first = R.earliest_positions()
+    first = earliest(R)
     ordered = sorted(first, key=lambda i: (first[i], i))
     unused = [i for i in sorted(inst.item_ids) if i not in first]
     entries = (ordered + unused)[:inst.k]

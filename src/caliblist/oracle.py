@@ -294,18 +294,17 @@ def _random_nested_sets(rng: np.random.Generator, ground: list) -> tuple[set, se
     return R, T, e
 
 
-def check_mdr(G: OverlapMeasure, params: GenParams | None = None,
-              trials: int = 1000, seed: int = 42) -> MdrResult:
+def check_mdr(G: OverlapMeasure, trials: int = 1000, seed: int = 42) -> MdrResult:
     """Probe monotonicity and submodularity of the set extension of G.
 
-    The MDR half draws distributional instances from ``params``, by default
-    up to 4 genres, 5 items and k = 4. The SMDR half additionally
-    finite-difference checks that G itself is coordinatewise non-decreasing
-    in q. Both halves share one generator, the MDR half drawing first.
+    The MDR half draws distributional instances with up to 4 genres, 5
+    items and k = 4. The SMDR half additionally finite-difference checks
+    that G itself is coordinatewise non-decreasing in q. Both halves share
+    one generator, the MDR half drawing first.
     """
-    params = params or GenParams(max_genres=4, max_items=5, max_k=4)
     rng = np.random.default_rng(seed)
-    insts = generate_instances(params, "distributional", seed=seed + 1, n=trials)
+    insts = generate_instances(GenParams(max_genres=4, max_items=5, max_k=4),
+                               "distributional", seed=seed + 1, n=trials)
 
     def mdr_probe(inst):
         ground = [(i, j) for i in inst.item_ids for j in range(1, inst.k + 1)]

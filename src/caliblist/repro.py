@@ -15,12 +15,12 @@ import numpy as np
 
 from .core import (
     CustomMeasure,
+    HellingerSquared,
     Instance,
     PositionWeights,
     Sequence,
     Subdistribution,
     ValidationError,
-    hellinger_squared,
     seq_objective,
     validate_instance,
 )
@@ -196,7 +196,7 @@ class OrderFlipRow:
 def repro_appendix_c() -> list[OrderFlipRow]:
     """Evaluate the four published lists under the squared-Hellinger overlap."""
     inst = order_flip_instance()
-    G = hellinger_squared()
+    G = HellingerSquared()
     return [
         OrderFlipRow(seq, seq_objective(G, Sequence(seq), inst), expected)
         for seq, expected in ORDER_FLIP_VALUES

@@ -15,13 +15,14 @@ import time
 import numpy as np
 
 from caliblist.core import (
+    ConcaveOverlap,
+    FDivergenceOverlap,
+    HellingerSquared,
     ItemPositionSet,
+    PowerOverlap,
     Sequence,
-    concave,
-    f_divergence,
+    earliest,
     fg_set,
-    hellinger_squared,
-    power,
     seq_objective,
 )
 from caliblist.greedy import (
@@ -58,13 +59,13 @@ def _report(num: int, desc: str, failures: list[str], elapsed: float,
 
 def _measure_suite():
     return [
-        ("hellinger", hellinger_squared()),
-        ("power:0.25", power(0.25)),
-        ("power:0.5", power(0.5)),
-        ("power:0.75", power(0.75)),
-        ("concave:sqrt", concave(
+        ("hellinger", HellingerSquared()),
+        ("power:0.25", PowerOverlap(0.25)),
+        ("power:0.5", PowerOverlap(0.5)),
+        ("power:0.75", PowerOverlap(0.75)),
+        ("concave:sqrt", ConcaveOverlap(
             math.sqrt, lambda x: 0.5 / math.sqrt(x) if x > 0 else math.inf)),
-        ("concave:log1p", concave(math.log1p, lambda x: 1.0 / (1.0 + x))),
+        ("concave:log1p", ConcaveOverlap(math.log1p, lambda x: 1.0 / (1.0 + x))),
     ]
 
 
@@ -110,7 +111,7 @@ def test_criterion_2_log_heuristic_golden_table():
 def test_criterion_3_discrete_greedy_two_thirds():
     start = time.perf_counter()
     failures = []
-    G = hellinger_squared()
+    G = HellingerSquared()
     insts = generate_instances(GenParams(max_genres=5, max_k=8),
                                "discrete", seed=7, n=1000)
     threshold = 2 / 3 - 1e-9
@@ -136,10 +137,10 @@ def test_criterion_4_sequence_greedy_one_half():
     insts = generate_instances(GenParams(max_items=6, max_k=5),
                                "distributional", seed=11, n=1000)
     threshold = 0.5 - 1e-9
-    for name, G in [("hellinger", hellinger_squared()),
-                    ("power:0.25", power(0.25)),
-                    ("power:0.5", power(0.5)),
-                    ("power:0.75", power(0.75))]:
+    for name, G in [("hellinger", HellingerSquared()),
+                    ("power:0.25", PowerOverlap(0.25)),
+                    ("power:0.5", PowerOverlap(0.5)),
+                    ("power:0.75", PowerOverlap(0.75))]:
         worst = 2.0
         for n, inst in enumerate(insts):
             obj = sequence_objective_fn(G, inst)
@@ -161,7 +162,7 @@ def test_criterion_5_continuous_pipeline_one_minus_1_over_e():
     # The documented solver defaults: 100 steps, 200 samples per step.
     start = time.perf_counter()
     failures = []
-    G = hellinger_squared()
+    G = HellingerSquared()
     insts = generate_instances(GenParams(min_items=2, max_items=6, max_k=4),
                                "distributional", seed=5, n=50)
     threshold = 1 - 1 / math.e - 0.02
@@ -187,7 +188,7 @@ def test_criterion_5_continuous_pipeline_one_minus_1_over_e():
 def test_criterion_6_set_to_sequence_dominance():
     start = time.perf_counter()
     failures = []
-    G = hellinger_squared()
+    G = HellingerSquared()
     rng = np.random.default_rng(21)
     insts = generate_instances(GenParams(min_items=4, max_items=6, max_k=4),
                                "distributional", seed=21, n=1000)
@@ -205,7 +206,7 @@ def test_criterion_6_set_to_sequence_dominance():
         seq = set_to_sequence(R, inst, G)
         if seq_objective(G, seq, inst) < fg_set(G, R, inst) - 1e-12:
             failures.append(f"instance {n}: sequence value below set value")
-        first = R.earliest_positions()
+        first = earliest(R)
         for item, pos in first.items():
             if seq.entries.index(item) + 1 > pos:
                 failures.append(f"instance {n}: {item} placed after slot {pos}")
@@ -259,14 +260,14 @@ def test_criterion_9_equivalence_oracles():
     start = time.perf_counter()
     failures = []
     rng = np.random.default_rng(2)
-    H = hellinger_squared()
-    P = power(0.5)
+    H = HellingerSquared()
+    P = PowerOverlap(0.5)
     # As published, the divergence generator omits the 1/2 factor: with
     # f(t) = (sqrt(t)-1)^2 and d* = 1 the resulting overlap equals
     # 2*sum(sqrt(pq)) - 1, not sum(sqrt(pq)). The faithful check below
     # therefore fails; f(t) = (sqrt(t)-1)^2 / 2 is the generator that
     # actually recovers the square-root overlap (see test_core).
-    Fd = f_divergence(lambda t: (math.sqrt(t) - 1) ** 2, 1.0)
+    Fd = FDivergenceOverlap(lambda t: (math.sqrt(t) - 1) ** 2, 1.0)
     max_ph = max_fd = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 7))

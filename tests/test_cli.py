@@ -19,7 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caliblist.cli import main, parse_measure
-from caliblist.core import Sequence, ValidationError, hellinger_squared, seq_objective
+from caliblist.core import (
+    HellingerSquared,
+    PowerOverlap,
+    Sequence,
+    ValidationError,
+    seq_objective,
+)
 from caliblist.io import instance_from_dict, instance_to_dict, save_instance
 from caliblist.repro import GenParams, generate_instances
 
@@ -46,8 +52,9 @@ def instance_file(tmp_path):
 
 class TestParseMeasure:
     def test_known_measures(self):
-        assert parse_measure("hellinger").name == "hellinger"
-        assert parse_measure("power:0.25").beta == 0.25
+        assert type(parse_measure("hellinger")) is HellingerSquared
+        G = parse_measure("power:0.25")
+        assert type(G) is PowerOverlap and G.beta == 0.25
 
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValidationError):
@@ -401,7 +408,7 @@ def test_fuzzed_instance_files_solve_or_exit_1(doc):
         loaded = instance_to_dict(inst)  # ids load as written, not coerced
         assert [e["id"] for e in loaded["items"]] == [e["id"] for e in doc["items"]]
         assert (loaded["genres"], loaded["mode"]) == (doc["genres"], doc["mode"])
-        recheck = seq_objective(hellinger_squared(),
+        recheck = seq_objective(HellingerSquared(),
                                 Sequence(tuple(record["sequence"])), inst)
         assert abs(recheck - record["value"]) <= 1e-12
     else:

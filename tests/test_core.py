@@ -8,19 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caliblist.core import (
+    ConcaveOverlap,
+    FDivergenceOverlap,
+    HellingerSquared,
     Instance,
     ItemPositionSet,
     PositionWeights,
+    PowerOverlap,
     Sequence,
     Subdistribution,
     ValidationError,
-    concave,
-    f_divergence,
+    earliest,
     fg_set,
     hatfg_set,
-    hellinger_squared,
     induced_distribution,
-    power,
     seq_objective,
     validate_instance,
 )
@@ -45,7 +46,7 @@ def make_instance(weights=(0.5, 0.3, 0.2)):
 class TestSubdistribution:
     def test_zero_entries_dropped(self):
         d = Subdistribution({"a": 0.3, "b": 0.0})
-        assert d.support() == frozenset({"a"})
+        assert d.weights.keys() == {"a"}
         assert d.get("b") == 0.0
 
     def test_negative_mass_rejected(self):
@@ -190,18 +191,18 @@ class TestInducedDistribution:
 class TestHellinger:
     def test_value_at_self_is_one(self):
         p = np.array([0.3, 0.7])
-        assert hellinger_squared().value(p, p) == pytest.approx(1.0)
+        assert HellingerSquared().value(p, p) == pytest.approx(1.0)
 
     def test_hand_computed_value(self):
         # [DERIVED] sqrt(0.5*0.78) + sqrt(0.5*0.22)
         expected = math.sqrt(0.39) + math.sqrt(0.11)
         inst = make_instance()
-        val = seq_objective(hellinger_squared(), Sequence(("i3", "i1", "i2")), inst)
+        val = seq_objective(HellingerSquared(), Sequence(("i3", "i1", "i2")), inst)
         assert val == pytest.approx(expected, abs=1e-12)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
-        G = hellinger_squared()
+        G = HellingerSquared()
         p = rng.uniform(0.1, 1, 4)
         p /= p.sum()
         Q = rng.uniform(0, 1, (8, 4))
@@ -218,18 +219,18 @@ class TestHellinger:
         p /= p.sum()
         q = rng.uniform(0, 1, 5)
         q *= rng.uniform(0, 1) / max(q.sum(), 1e-12)
-        assert hellinger_squared().value(p, q) <= 1 + 1e-12
+        assert HellingerSquared().value(p, q) <= 1 + 1e-12
 
 
 class TestPower:
     def test_beta_range_enforced(self):
         for beta in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValidationError):
-                power(beta)
+                PowerOverlap(beta)
 
     def test_half_equals_hellinger(self):
         rng = np.random.default_rng(1)
-        G, H = power(0.5), hellinger_squared()
+        G, H = PowerOverlap(0.5), HellingerSquared()
         for _ in range(100):
             p = rng.uniform(0.01, 1, 4)
             p /= p.sum()
@@ -239,7 +240,7 @@ class TestPower:
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(2)
-        G = power(0.25)
+        G = PowerOverlap(0.25)
         p = rng.uniform(0.1, 1, 3)
         p /= p.sum()
         Q = rng.uniform(0, 1, (6, 3))
@@ -256,8 +257,8 @@ def _target_and_rows(seed, n_genres, n_rows):
     return p / p.sum(), Q
 
 
-batch_measures = st.sampled_from([hellinger_squared(), power(0.25), power(0.5),
-                                  power(0.75)])
+batch_measures = st.sampled_from([HellingerSquared(), PowerOverlap(0.25),
+                                  PowerOverlap(0.5), PowerOverlap(0.75)])
 
 
 class TestValueBatch:
@@ -272,7 +273,7 @@ class TestValueBatch:
         assert G.value_batch(p, Q).tolist() == [G.value(p, q) for q in Q]
 
     @pytest.mark.parametrize("n_genres", [5, 8, 12, 20])
-    @pytest.mark.parametrize("G", [hellinger_squared(), power(0.3)],
+    @pytest.mark.parametrize("G", [HellingerSquared(), PowerOverlap(0.3)],
                              ids=["hellinger", "power"])
     def test_values_do_not_depend_on_the_batch_layout(self, n_genres, G):
         p, Q = _target_and_rows(n_genres, n_genres, 8192)
@@ -287,14 +288,14 @@ class TestFDivergence:
     def test_diverging_generator_rejected(self):
         # f(t) = (t-1)^2 has f(t)/t -> infinity, so the divergence is unbounded.
         with pytest.raises(ValidationError, match="diverges"):
-            f_divergence(lambda t: (t - 1) ** 2, 1.0)
+            FDivergenceOverlap(lambda t: (t - 1) ** 2, 1.0)
 
     def test_half_hellinger_generator_recovers_hellinger(self):
         # f(t) = (sqrt(t)-1)^2 / 2 with d* = 1 gives exactly the
         # square-root overlap on full distributions:
         # 1 - sum q (sqrt(p/q)-1)^2 / 2 = 1 - (|p| + |q|)/2 + sum sqrt(pq).
-        G = f_divergence(lambda t: 0.5 * (math.sqrt(t) - 1) ** 2, 1.0)
-        H = hellinger_squared()
+        G = FDivergenceOverlap(lambda t: 0.5 * (math.sqrt(t) - 1) ** 2, 1.0)
+        H = HellingerSquared()
         rng = np.random.default_rng(3)
         for _ in range(200):
             n = int(rng.integers(2, 6))
@@ -305,7 +306,7 @@ class TestFDivergence:
             assert G.value(p, q) == pytest.approx(H.value(p, q), abs=1e-12)
 
     def test_zero_q_term_uses_slope_limit(self):
-        G = f_divergence(lambda t: 0.5 * (math.sqrt(t) - 1) ** 2, 1.0)
+        G = FDivergenceOverlap(lambda t: 0.5 * (math.sqrt(t) - 1) ** 2, 1.0)
         # slope of f(t)/t at infinity is 1/2, so the q=0 term is p/2; the
         # slope is probed numerically, hence the modest tolerance
         val = G.value(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
@@ -316,8 +317,8 @@ class TestFDivergence:
 class TestConcave:
     def test_sqrt_family_is_twice_hellinger(self):
         # h = sqrt gives h(q)/h'(p) = 2 sqrt(p q) per genre.
-        G = concave(math.sqrt, lambda x: 0.5 / math.sqrt(x))
-        H = hellinger_squared()
+        G = ConcaveOverlap(math.sqrt, lambda x: 0.5 / math.sqrt(x))
+        H = HellingerSquared()
         rng = np.random.default_rng(4)
         for _ in range(100):
             p = rng.uniform(0.01, 1, 4)
@@ -327,14 +328,15 @@ class TestConcave:
 
     def test_negative_h_rejected(self):
         with pytest.raises(ValidationError):
-            concave(lambda x: -x, lambda x: 1.0)
+            ConcaveOverlap(lambda x: -x, lambda x: 1.0)
 
     def test_nonincreasing_h_rejected(self):
         with pytest.raises(ValidationError):
-            concave(lambda x: 1.0, lambda x: 0.0)
+            ConcaveOverlap(lambda x: 1.0, lambda x: 0.0)
 
     def test_infinite_derivative_at_zero_target_drops_term(self):
-        G = concave(math.sqrt, lambda x: 0.5 / math.sqrt(x) if x > 0 else math.inf)
+        G = ConcaveOverlap(math.sqrt,
+                           lambda x: 0.5 / math.sqrt(x) if x > 0 else math.inf)
         assert G.value(np.array([0.0, 1.0]), np.array([0.5, 0.5])) == \
             pytest.approx(2 * math.sqrt(0.5), abs=1e-12)
 
@@ -342,7 +344,7 @@ class TestConcave:
 class TestSetExtensions:
     def test_fg_uses_earliest_occurrence_only(self):
         inst = make_instance()
-        G = hellinger_squared()
+        G = HellingerSquared()
         R = ItemPositionSet(frozenset({("i3", 1), ("i3", 3), ("i1", 2)}))
         # i3 contributes w_1 = 0.5 only; i1 contributes w_2 = 0.3.
         expected = G.value(
@@ -353,7 +355,7 @@ class TestSetExtensions:
 
     def test_hatfg_counts_every_occurrence(self):
         inst = make_instance()
-        G = hellinger_squared()
+        G = HellingerSquared()
         R = ItemPositionSet(frozenset({("i3", 1), ("i3", 3)}))
         expected = G.value(np.array([0.5, 0.5]), np.array([0.7, 0.0]))
         assert hatfg_set(G, R, inst) == pytest.approx(expected, abs=1e-12)
@@ -363,23 +365,23 @@ class TestSetExtensions:
         # extension must evaluate it rather than reject it.
         inst = make_instance()
         R = ItemPositionSet(frozenset({("i1", 1), ("i2", 1), ("i3", 1)}))
-        assert fg_set(hellinger_squared(), R, inst) > 0
+        assert fg_set(HellingerSquared(), R, inst) > 0
 
     def test_unknown_item_rejected(self):
         inst = make_instance()
         with pytest.raises(ValidationError):
-            fg_set(hellinger_squared(),
+            fg_set(HellingerSquared(),
                    ItemPositionSet(frozenset({("i9", 1)})), inst)
 
     def test_position_beyond_k_rejected(self):
         inst = make_instance()
         with pytest.raises(ValidationError):
-            fg_set(hellinger_squared(),
+            fg_set(HellingerSquared(),
                    ItemPositionSet(frozenset({("i1", 4)})), inst)
 
     def test_fg_matches_sequence_objective_without_repeats(self):
         inst = make_instance()
-        G = hellinger_squared()
+        G = HellingerSquared()
         seq = Sequence(("i4", "i2", "i1"))
         R = ItemPositionSet(frozenset((item, j + 1)
                                       for j, item in enumerate(seq)))
@@ -390,7 +392,7 @@ class TestSetExtensions:
 class TestItemPositionSet:
     def test_earliest_positions(self):
         R = ItemPositionSet(frozenset({("a", 3), ("a", 1), ("b", 2)}))
-        assert R.earliest_positions() == {"a": 1, "b": 2}
+        assert earliest(R) == {"a": 1, "b": 2}
 
     def test_bad_position_rejected(self):
         with pytest.raises(ValidationError):

@@ -21,16 +21,17 @@ from hypothesis import strategies as st
 
 from caliblist.core import (
     CustomMeasure,
+    HellingerSquared,
     Instance,
     ItemPositionSet,
     PositionWeights,
+    PowerOverlap,
     Sequence,
     Subdistribution,
+    earliest,
     fg_set,
     hatfg_set,
-    hellinger_squared,
     induced_distribution,
-    power,
     seq_objective,
     validate_instance,
 )
@@ -97,7 +98,7 @@ def _by_position(pairs):
 
 
 def ref_fg(G, R, inst):
-    first = R.earliest_positions()
+    first = earliest(R)
     return ref_eval(G, inst, ref_mixture(
         inst, ((i, inst.weights[j]) for i, j in _by_position(first.items()))))
 
@@ -152,8 +153,8 @@ def reversed_items(inst):
                     inst.mode)
 
 
-measures = st.one_of(st.just(hellinger_squared()),
-                     st.sampled_from([0.25, 0.5, 0.75]).map(power))
+measures = st.one_of(st.just(HellingerSquared()),
+                     st.sampled_from([0.25, 0.5, 0.75]).map(PowerOverlap))
 
 # counts the genres it is given, so it sees any objective that evaluates G
 # over fewer than all of the instance's genres; it has no value_batch
@@ -282,7 +283,7 @@ def test_batched_gains_with_a_custom_measure(function):
 def test_gains_do_not_depend_on_the_chunk_size(monkeypatch, function):
     inst = generate_instances(GenParams(min_items=6, max_items=6, max_k=4),
                               "distributional", seed=51, n=1)[0]
-    F = function(power(0.5), inst)
+    F = function(PowerOverlap(0.5), inst)
     ground = PartitionMatroid(inst.item_ids, inst.k).ground_set()
     S = _sampled_sets(ground, 9, 52)
     whole = F.mean_gains(ground, S)
@@ -295,7 +296,7 @@ def test_continuous_greedy_same_point_from_closure_and_plain_callable(mode):
     # A plain callable takes the per-call path; the closure the batched one.
     insts = generate_instances(GenParams(max_items=6, max_k=4), mode,
                                seed=53, n=6)
-    for inst, G in zip(insts, [hellinger_squared(), power(0.5)] * 3):
+    for inst, G in zip(insts, [HellingerSquared(), PowerOverlap(0.5)] * 3):
         cases = [(PartitionMatroid, hatfg_function)]
         if mode == "distributional":
             cases.append((LaminarMatroid, fg_function))
@@ -324,7 +325,7 @@ def test_induced_distribution_is_exact(inst):
 
 def test_empty_list_and_empty_set():
     inst = make_instance()
-    G = hellinger_squared()
+    G = HellingerSquared()
     empty = ItemPositionSet(frozenset())
     assert seq_objective(G, Sequence(), inst) == 0.0
     assert seq_objective(G, Sequence(), inst) == ref_seq_objective(
@@ -346,27 +347,26 @@ def test_single_genre_long_list_adds_in_position_order():
     for v in inst.weights.w:
         total += v
     assert q.get("g") == total
-    G = power(0.5)
+    G = PowerOverlap(0.5)
     assert seq_objective(G, seq, inst) == ref_seq_objective(G, seq, inst)
 
 
-# fg, hatfg and multilinear estimates of random sets on 8-14 genres, where
-# numpy's pairwise sum would expose a change in the order pairs are added
+# fg, hatfg and the fg closure on random sets of 8-14 genres, where numpy's
+# pairwise sum would expose a change in the order pairs are added
 _SET_VALUES = """
 import numpy as np
-from caliblist.core import ItemPositionSet, fg_set, hatfg_set, hellinger_squared
-from caliblist.matroid import FractionalPoint, fg_function, multilinear_estimate
+from caliblist.core import HellingerSquared, ItemPositionSet, fg_set, hatfg_set
+from caliblist.matroid import fg_function
 from caliblist.repro import GenParams, generate_instances
-G = hellinger_squared()
+G = HellingerSquared()
 rng = np.random.default_rng(0)
 out = []
 for inst in generate_instances(GenParams(min_genres=8, max_genres=14),
                                "distributional", seed=61, n=200):
     ground = [(i, j) for i in inst.item_ids for j in range(1, inst.k + 1)]
     R = ItemPositionSet(frozenset(e for e in ground if rng.random() < 0.5))
-    x = FractionalPoint({e: 0.5 for e in ground})
     out += [fg_set(G, R, inst), hatfg_set(G, R, inst),
-            multilinear_estimate(fg_function(G, inst), x, samples=5, seed=62)]
+            fg_function(G, inst)(R.pairs)]
 print([v.hex() for v in out])
 """
 
@@ -396,7 +396,7 @@ class TestItemDist:
 
     def test_unknown_list_element_raises_key_error(self):
         with pytest.raises(KeyError):
-            seq_objective(hellinger_squared(), Sequence(("nope",)),
+            seq_objective(HellingerSquared(), Sequence(("nope",)),
                           make_instance())
 
     def test_core_is_built_once_and_read_only(self):

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caliblist.core import (
+    HellingerSquared,
     Instance,
     PositionWeights,
     Sequence,
     Subdistribution,
     ValidationError,
-    hellinger_squared,
     seq_objective,
     validate_instance,
 )
@@ -55,7 +55,7 @@ class TestDiscreteGreedy:
         assert seq.entries == ("g1", "g2", "g2")
         value = discrete_objective(inst)(seq)
         assert value == pytest.approx(1.0, abs=1e-12)
-        _, opt = exhaustive_opt(inst, measure=hellinger_squared())
+        _, opt = exhaustive_opt(inst, measure=HellingerSquared())
         assert value == pytest.approx(opt, abs=1e-12)
 
     def test_trace_gains_match_closed_form(self):
@@ -96,14 +96,14 @@ class TestDiscreteGreedy:
                                        "discrete", seed=13, n=50):
             seq, _ = discrete_greedy(inst)
             assert discrete_objective(inst)(seq) == pytest.approx(
-                seq_objective(hellinger_squared(), seq, inst), abs=1e-12)
+                seq_objective(HellingerSquared(), seq, inst), abs=1e-12)
 
 
 class TestGreedySequence:
     def test_matches_optimum_on_tiny_instance(self):
         insts = generate_instances(GenParams(max_items=4, max_k=2),
                                    "distributional", seed=17, n=20)
-        G = hellinger_squared()
+        G = HellingerSquared()
         for inst in insts:
             obj = sequence_objective_fn(G, inst)
             seq, _ = greedy_sequence(obj, list(inst.universe()), inst.k)
@@ -114,7 +114,7 @@ class TestGreedySequence:
         insts = generate_instances(GenParams(min_items=3, max_items=5,
                                              min_k=3, max_k=3),
                                    "distributional", seed=19, n=10)
-        G = hellinger_squared()
+        G = HellingerSquared()
         for inst in insts:
             obj = sequence_objective_fn(G, inst)
             seq, _ = greedy_sequence(obj, list(inst.universe()), inst.k)
@@ -122,7 +122,7 @@ class TestGreedySequence:
 
     def test_universe_exhaustion_raises(self):
         inst = generate_instances(GenParams(), "distributional", seed=23, n=1)[0]
-        obj = sequence_objective_fn(hellinger_squared(), inst)
+        obj = sequence_objective_fn(HellingerSquared(), inst)
         with pytest.raises(ValidationError):
             greedy_sequence(obj, [inst.universe()[0]], k=2)
 
@@ -203,7 +203,7 @@ class TestBatchedGreedy:
         inst = generate_instances(GenParams(min_items=3, max_items=3, min_k=2,
                                             max_k=2), "distributional",
                                   seed=31, n=1)[0]
-        G = hellinger_squared()
+        G = HellingerSquared()
         universe = list(inst.universe())
         for elements, allow_repeats, message in (
                 (universe, True, "sequence longer than k=2"),
@@ -254,7 +254,7 @@ class TestBestLength:
             truncate_instance(inst, 0)
 
     def test_best_length_never_worse_than_full_length(self):
-        G = hellinger_squared()
+        G = HellingerSquared()
         insts = generate_instances(GenParams(max_items=5, max_k=4),
                                    "distributional", seed=29, n=20)
         for inst in insts:

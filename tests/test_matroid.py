@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from caliblist.core import (
+    HellingerSquared,
     ItemPositionSet,
     Sequence,
     ValidationError,
+    earliest,
     fg_set,
     hatfg_set,
-    hellinger_squared,
     seq_objective,
 )
 from caliblist.matroid import (
@@ -28,7 +29,6 @@ from caliblist.matroid import (
     fg_function,
     hatfg_function,
     max_weight_basis,
-    multilinear_estimate,
     pipage_round,
     set_to_sequence,
     solve_distributional,
@@ -82,6 +82,13 @@ class TestIndependence:
         with pytest.raises(ValidationError):
             m.independent({("z", 1)})
 
+    def test_ground_set_is_position_major_with_sorted_items(self):
+        # continuous greedy's coordinates and the rounding golden records
+        # follow this order
+        for cls in (PartitionMatroid, LaminarMatroid):
+            assert cls(("c", "a", "b"), 2).ground_set() == [
+                ("a", 1), ("b", 1), ("c", 1), ("a", 2), ("b", 2), ("c", 2)]
+
     def test_ground_set_checked_before_counts(self):
         m = PartitionMatroid(("a", "b"), 2)
         with pytest.raises(ValidationError):
@@ -112,7 +119,7 @@ class TestMaxWeightBasis:
             for e in sorted(m.ground_set(), key=lambda e: (-weights.get(e, 0.0), e)):
                 if m.independent(chosen | {e}):
                     chosen.add(e)
-                    if len(chosen) == m.basis_size():
+                    if len(chosen) == m.k:
                         break
             return frozenset(chosen)
 
@@ -149,30 +156,11 @@ class TestFractionalPoint:
             assert x.in_polytope(m, tol=0.0) == m.independent(S)
 
 
-class TestMultilinear:
-    def test_integral_point_is_exact(self):
-        F = lambda S: float(len(S))
-        x = FractionalPoint({("a", 1): 1.0, ("b", 1): 0.0})
-        assert multilinear_estimate(F, x, samples=5, seed=0) == 1.0
-
-    def test_two_point_expectation(self):
-        # [DERIVED] for F = |S| the multilinear extension is sum of x_e.
-        F = lambda S: float(len(S))
-        x = FractionalPoint({("a", 1): 0.3, ("b", 1): 0.6})
-        est = multilinear_estimate(F, x, samples=20_000, seed=1)
-        assert est == pytest.approx(0.9, abs=0.02)
-
-    def test_zero_samples_rejected(self):
-        with pytest.raises(ValidationError):
-            multilinear_estimate(lambda S: 0.0,
-                                 FractionalPoint({("a", 1): 0.5}), 0, 0)
-
-
 class TestContinuousGreedy:
     def test_output_in_polytope_with_unit_mass(self):
         inst = make_instance()
         m = LaminarMatroid(inst.item_ids, inst.k)
-        F = fg_function(hellinger_squared(), inst)
+        F = fg_function(HellingerSquared(), inst)
         x = continuous_greedy(F, m, steps=10, samples=10, seed=0)
         assert x.in_polytope(m, tol=1e-9)
         assert sum(x.x.values()) == pytest.approx(inst.k, abs=1e-9)
@@ -180,7 +168,7 @@ class TestContinuousGreedy:
     def test_deterministic_for_fixed_seed(self):
         inst = make_instance()
         m = LaminarMatroid(inst.item_ids, inst.k)
-        F = fg_function(hellinger_squared(), inst)
+        F = fg_function(HellingerSquared(), inst)
         a = continuous_greedy(F, m, steps=5, samples=5, seed=7)
         b = continuous_greedy(F, m, steps=5, samples=5, seed=7)
         assert a.x == b.x
@@ -300,18 +288,18 @@ class TestSetToSequence:
     def test_orders_by_earliest_position(self):
         inst = make_instance()
         R = ItemPositionSet(frozenset({("i2", 1), ("i4", 2), ("i1", 3)}))
-        seq = set_to_sequence(R, inst, hellinger_squared())
+        seq = set_to_sequence(R, inst, HellingerSquared())
         assert seq.entries == ("i2", "i4", "i1")
 
     def test_pads_with_smallest_unused_items(self):
         inst = make_instance()
         R = ItemPositionSet(frozenset({("i4", 1), ("i4", 2), ("i4", 3)}))
-        seq = set_to_sequence(R, inst, hellinger_squared())
+        seq = set_to_sequence(R, inst, HellingerSquared())
         assert seq.entries == ("i4", "i1", "i2")
 
     def test_item_never_pushed_later_than_its_earliest_slot(self):
         rng = np.random.default_rng(11)
-        G = hellinger_squared()
+        G = HellingerSquared()
         insts = generate_instances(GenParams(min_items=4, max_items=6, max_k=4),
                                    "distributional", seed=11, n=100)
         for inst in insts:
@@ -326,7 +314,7 @@ class TestSetToSequence:
                         break
             R = ItemPositionSet(frozenset(basis))
             seq = set_to_sequence(R, inst, G)
-            first = R.earliest_positions()
+            first = earliest(R)
             for item, pos in first.items():
                 assert seq.entries.index(item) + 1 <= pos
             assert seq_objective(G, seq, inst) >= fg_set(G, R, inst) - 1e-12
@@ -335,7 +323,7 @@ class TestSetToSequence:
         inst = make_instance()
         with pytest.raises(ValidationError):
             set_to_sequence(ItemPositionSet(frozenset({("i1", 1)})),
-                            inst, hellinger_squared())
+                            inst, HellingerSquared())
 
     def test_short_catalog_cannot_fill_the_list(self):
         inst = make_instance()
@@ -343,13 +331,13 @@ class TestSetToSequence:
         R = ItemPositionSet(frozenset({("i1", 1), ("i1", 2), ("i2", 3)}))
         with pytest.raises(ValidationError,
                            match="^not enough items to fill the list$"):
-            set_to_sequence(R, inst, hellinger_squared())
+            set_to_sequence(R, inst, HellingerSquared())
 
 
 class TestSetFunctionClosures:
     def test_fg_closure_matches_reference(self):
         inst = make_instance()
-        G = hellinger_squared()
+        G = HellingerSquared()
         F = fg_function(G, inst)
         rng = np.random.default_rng(13)
         ground = [(i, j) for i in inst.item_ids for j in range(1, inst.k + 1)]
@@ -362,7 +350,7 @@ class TestSetFunctionClosures:
 
     def test_hatfg_closure_matches_reference(self):
         inst = make_instance()
-        G = hellinger_squared()
+        G = HellingerSquared()
         F = hatfg_function(G, inst)
         rng = np.random.default_rng(15)
         ground = [(i, j) for i in inst.item_ids for j in range(1, inst.k + 1)]
@@ -377,7 +365,7 @@ class TestSetFunctionClosures:
 class TestEndToEndSolvers:
     def test_solve_distributional_returns_valid_list(self):
         inst = make_instance()
-        G = hellinger_squared()
+        G = HellingerSquared()
         seq, val = solve_distributional(inst, G, steps=15, samples=15, seed=1)
         assert len(seq) == inst.k
         assert len(set(seq.entries)) == inst.k
@@ -385,7 +373,7 @@ class TestEndToEndSolvers:
 
     def test_solve_distributional_near_optimal_on_small_instance(self):
         inst = make_instance()
-        G = hellinger_squared()
+        G = HellingerSquared()
         _, opt = exhaustive_opt(inst, measure=G)
         _, val = solve_distributional(inst, G, steps=25, samples=25, seed=2)
         assert val >= (1 - 1 / math.e - 0.02) * opt
@@ -401,18 +389,18 @@ class TestEndToEndSolvers:
             genres=inst.genres, target=inst.target, items=inst.items[:2],
             weights=inst.weights, mode=inst.mode)
         with pytest.raises(ValidationError):
-            solve_distributional(small, hellinger_squared())
+            solve_distributional(small, HellingerSquared())
 
     def test_solve_with_repeats_returns_full_list(self):
         inst = make_instance()
-        G = hellinger_squared()
+        G = HellingerSquared()
         seq, val = solve_with_repeats(inst, G, steps=15, samples=15, seed=3)
         assert len(seq) == inst.k
         assert val == pytest.approx(seq_objective(G, seq, inst), abs=1e-12)
 
     def test_solvers_deterministic_for_fixed_seed(self):
         inst = make_instance()
-        G = hellinger_squared()
+        G = HellingerSquared()
         a = solve_distributional(inst, G, steps=10, samples=10, seed=4)
         b = solve_distributional(inst, G, steps=10, samples=10, seed=4)
         assert a == b

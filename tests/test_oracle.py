@@ -11,11 +11,10 @@ from caliblist.core import (
     CustomMeasure,
     HellingerSquared,
     ItemPositionSet,
+    PowerOverlap,
     Sequence,
     ValidationError,
     fg_set,
-    hellinger_squared,
-    power,
     seq_objective,
 )
 from caliblist.greedy import sequence_objective_fn
@@ -56,7 +55,7 @@ def reference_searches():
              + _twins())
     cases = []
     for inst in insts:
-        for G in (hellinger_squared(), power(0.5)):
+        for G in (HellingerSquared(), PowerOverlap(0.5)):
             for repeats in (True, False):
                 if not repeats and inst.k > len(inst.universe()):
                     continue
@@ -85,7 +84,7 @@ class TestExhaustiveOpt:
     def test_vectorized_path_matches_generic_path(self):
         # The fast measure path and the plain python objective path are
         # independent implementations; they must agree exactly.
-        G = hellinger_squared()
+        G = HellingerSquared()
         insts = generate_instances(GenParams(max_items=4, max_k=3),
                                    "distributional", seed=37, n=25)
         for inst in insts:
@@ -104,19 +103,19 @@ class TestExhaustiveOpt:
         # the batch adds and sums in the order of seq_objective, so the
         # reported optimum is the list's value to the last bit
         for inst in generate_instances(params, mode, seed=seed, n=60):
-            for G in (hellinger_squared(), power(0.25), power(0.75)):
+            for G in (HellingerSquared(), PowerOverlap(0.25), PowerOverlap(0.75)):
                 seq, value = exhaustive_opt(inst, measure=G)
                 assert value == seq_objective(G, seq, inst)
 
     def test_discrete_mode_searches_genres_with_repeats(self):
         inst = discrete_instance({"g1": 0.5, "g2": 0.5}, (0.5, 0.3, 0.2))
-        seq, val = exhaustive_opt(inst, measure=hellinger_squared())
+        seq, val = exhaustive_opt(inst, measure=HellingerSquared())
         assert set(seq.entries) <= {"g1", "g2"}
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_lexicographic_tie_break(self):
         inst = discrete_instance({"g1": 0.5, "g2": 0.5}, (1.0,))
-        seq, _ = exhaustive_opt(inst, measure=hellinger_squared())
+        seq, _ = exhaustive_opt(inst, measure=HellingerSquared())
         assert seq.entries == ("g1",)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5])
@@ -129,7 +128,7 @@ class TestExhaustiveOpt:
             items=(("a", inst.items[0][1]), ("b", inst.items[1][1]),
                    ("c", inst.items[0][1])),
             weights=inst.weights, mode="distributional")
-        G = hellinger_squared()
+        G = HellingerSquared()
         want = [exhaustive_opt(i, measure=G) for i in (inst, twins)]
         assert [s.entries for s, _ in want] == [("g1", "g2"), ("a", "b")]
         monkeypatch.setattr(oracle, "_BLOCK", block)
@@ -141,7 +140,7 @@ class TestExhaustiveOpt:
                                     "discrete", seed=43, n=10)
                  + generate_instances(GenParams(max_items=6, max_k=4),
                                       "distributional", seed=44, n=10))
-        G = power(0.5)
+        G = PowerOverlap(0.5)
         want = [exhaustive_opt(inst, measure=G) for inst in insts]
         monkeypatch.setattr(oracle, "_BLOCK", block)
         assert [exhaustive_opt(inst, measure=G) for inst in insts] == want
@@ -153,7 +152,7 @@ class TestExhaustiveOpt:
             "discrete", seed=45, n=1)
         tracemalloc.start()
         try:
-            exhaustive_opt(inst, measure=hellinger_squared())
+            exhaustive_opt(inst, measure=HellingerSquared())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -167,7 +166,7 @@ class TestExhaustiveOpt:
             GenParams(min_items=11, max_items=11, min_k=7, max_k=7),
             "distributional", seed=46, n=1)
         assert len(inst.genres) == 4
-        G = hellinger_squared()
+        G = HellingerSquared()
         tracemalloc.start()
         try:
             seq, value = exhaustive_opt(inst, measure=G)
@@ -203,7 +202,7 @@ class TestExhaustiveOpt:
         with pytest.raises(ValidationError):
             exhaustive_opt(inst)
         with pytest.raises(ValidationError):
-            exhaustive_opt(inst, measure=hellinger_squared(),
+            exhaustive_opt(inst, measure=HellingerSquared(),
                            objective=lambda s: 0.0)
 
     def test_search_limit_enforced(self):
@@ -212,7 +211,7 @@ class TestExhaustiveOpt:
             tuple([0.2] * 5),
         )
         with pytest.raises(ValidationError, match="too large"):
-            exhaustive_opt(inst, measure=hellinger_squared())
+            exhaustive_opt(inst, measure=HellingerSquared())
 
     def test_too_few_items_without_repeats(self):
         inst = make_instance()
@@ -220,10 +219,10 @@ class TestExhaustiveOpt:
             genres=inst.genres, target=inst.target, items=inst.items[:2],
             weights=inst.weights, mode=inst.mode)
         with pytest.raises(ValidationError):
-            exhaustive_opt(small, measure=hellinger_squared())
+            exhaustive_opt(small, measure=HellingerSquared())
 
     def test_optimum_dominates_greedy(self):
-        G = hellinger_squared()
+        G = HellingerSquared()
         insts = generate_instances(GenParams(max_items=5, max_k=3),
                                    "distributional", seed=41, n=25)
         from caliblist.greedy import greedy_sequence
@@ -236,7 +235,7 @@ class TestExhaustiveOpt:
 
 class TestAxiomChecker:
     def test_genuine_measures_pass(self):
-        for G in (hellinger_squared(), power(0.25), power(0.75)):
+        for G in (HellingerSquared(), PowerOverlap(0.25), PowerOverlap(0.75)):
             assert check_overlap_axioms(G, trials=300, seed=0).passed
 
     def test_log_heuristic_fails(self):
@@ -247,14 +246,14 @@ class TestAxiomChecker:
         assert res.counterexample is not None
 
     def test_result_is_deterministic(self):
-        a = check_overlap_axioms(hellinger_squared(), trials=100, seed=5)
-        b = check_overlap_axioms(hellinger_squared(), trials=100, seed=5)
+        a = check_overlap_axioms(HellingerSquared(), trials=100, seed=5)
+        b = check_overlap_axioms(HellingerSquared(), trials=100, seed=5)
         assert (a.passed, a.violations) == (b.passed, b.violations)
 
 
 class TestMdrChecker:
     def test_hellinger_and_power_pass(self):
-        for G in (hellinger_squared(), power(0.3)):
+        for G in (HellingerSquared(), PowerOverlap(0.3)):
             res = check_mdr(G, trials=200, seed=1)
             assert res.passed
             assert res.mdr.violations == 0
@@ -273,7 +272,7 @@ class TestMdrChecker:
 
 class TestSetToSequenceChecker:
     def test_hellinger_and_power_pass(self):
-        for G in (hellinger_squared(), power(0.5)):
+        for G in (HellingerSquared(), PowerOverlap(0.5)):
             res = check_set_to_sequence(G, trials=100, seed=6)
             assert (res.passed, res.trials, res.violations) == (True, 100, 0)
 
@@ -292,7 +291,7 @@ class TestSetToSequenceChecker:
 class TestOrderedSubmodularChecker:
     def test_hellinger_objective_passes(self):
         inst = make_instance()
-        f = sequence_objective_fn(hellinger_squared(), inst)
+        f = sequence_objective_fn(HellingerSquared(), inst)
         res = check_ordered_submodular(f, list(inst.universe()), inst.k,
                                        trials=300, seed=3)
         assert res.passed
@@ -313,7 +312,7 @@ class TestRatioReport:
     def test_report_statistics_are_consistent(self):
         from caliblist.greedy import greedy_sequence
 
-        G = hellinger_squared()
+        G = HellingerSquared()
 
         def alg(inst):
             obj = sequence_objective_fn(G, inst)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from caliblist.core import Sequence, ValidationError, hellinger_squared, seq_objective
+from caliblist.core import HellingerSquared, Sequence, ValidationError, seq_objective
 from caliblist.repro import (
     GenParams,
     KL_MMR_TABLE,
@@ -33,7 +33,7 @@ class TestOrderFlipStudy:
     def test_first_row_closed_form(self):
         # [DERIVED] mixture (0.78, 0.22): sqrt(.39) + sqrt(.11) = 0.95621...
         inst = order_flip_instance()
-        val = seq_objective(hellinger_squared(), Sequence(("i3", "i1", "i2")), inst)
+        val = seq_objective(HellingerSquared(), Sequence(("i3", "i1", "i2")), inst)
         assert val == pytest.approx(math.sqrt(0.39) + math.sqrt(0.11), abs=1e-12)
 
 
