@@ -304,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         rc = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return rc
-    except (ValidationError, FileNotFoundError, KeyError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:  # the reader is gone; mute the final flush too

@@ -137,7 +137,6 @@ def greedy_sequence(
         raise ValidationError("empty universe")
     elements = sorted(universe)
     dead = np.zeros(len(elements), bool)  # picked, when repeats are disallowed
-    left = len(elements)
     if isinstance(objective, ListObjective):
         score = objective.extension_scorer(elements)
     else:
@@ -147,7 +146,7 @@ def greedy_sequence(
     trace = GreedyTrace()
     current = objective(seq)
     for pos in range(1, k + 1):
-        if not left:
+        if dead.all():
             raise ValidationError(f"universe exhausted at position {pos}")
         vals = np.array(score(seq), dtype=float)
         vals[dead] = -np.inf  # never kept, so picked elements drop out
@@ -168,7 +167,6 @@ def greedy_sequence(
         if not allow_repeats:  # every copy of a repeated universe entry
             lo, hi = bisect_left(elements, best), bisect_right(elements, best)
             dead[lo:hi] = True
-            left -= hi - lo
         current = best_val
     return seq, trace
 

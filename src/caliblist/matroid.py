@@ -296,8 +296,7 @@ class PairFunction:
         pos = np.array([j - 1 for _, j in ground], dtype=int)
         w = core.w[pos]
         Q_items = core.Q[[core.item_row[i] for i in items]]
-        # row 0 of every sample's block is the set itself (delta 0)
-        Q_pairs = np.vstack([np.zeros(Q_items.shape[1]), Q_items[col]])
+        Q_pairs = Q_items[col]
         k = len(core.w)
         w0 = np.append(core.w, 0.0)  # position index k: the item is absent
         chunk = max(1, _CHUNK_BYTES // Q_pairs.nbytes)
@@ -312,13 +311,13 @@ class PairFunction:
                 first = first.T[:, col]
                 delta = np.where(pos < first, w - w0[first], 0.0)
             else:
-                q = np.where(block, w, 0.0) @ Q_pairs[1:]
+                q = np.where(block, w, 0.0) @ Q_pairs
                 delta = np.where(block, 0.0, w)
-            delta = np.hstack([np.zeros((len(block), 1)), delta])
             mixtures = q[:, None, :] + delta[:, :, None] * Q_pairs
             vals = self.G.value_batch(core.p, mixtures.reshape(-1, Q_pairs.shape[1]))
             vals = vals.reshape(len(block), -1)
-            gains = np.where(delta[:, 1:] != 0, vals[:, 1:] - vals[:, :1], 0.0)
+            base = self.G.value_batch(core.p, q)  # each sampled set's value
+            gains = np.where(delta != 0, vals - base[:, None], 0.0)
             # add sample by sample, in the order of the per-call loop
             total = np.add.accumulate(np.vstack([total, gains]))[-1]
         return total / len(S)

@@ -168,24 +168,20 @@ def _first_max(measure: OverlapMeasure, p: np.ndarray, WM: np.ndarray,
 
 def exhaustive_opt(
     inst: Instance,
-    measure: OverlapMeasure | None = None,
-    objective: Callable[[Sequence], float] | None = None,
+    measure: OverlapMeasure,
     allow_repeats: bool | None = None,
 ) -> tuple[Sequence, float]:
     """Enumerate every candidate list and return the exact maximizer.
 
     The universe is the genre set in discrete mode (repeats allowed by
     default) and the item catalog otherwise (repeats disallowed by
-    default). Ties go to the lexicographically smallest sequence. With a
-    measure, lists share prefixes: each list's mixture is its prefix's plus
-    one weighted row, and at most ``_BLOCK`` lists are scored per
-    ``value_batch`` call (see :func:`_first_max`). The value equals
-    ``seq_objective`` of the returned list, bit for bit. An ``objective``
-    is called once per list. Raises :class:`ValidationError` when the
+    default). Ties go to the lexicographically smallest sequence. Lists
+    share prefixes: each list's mixture is its prefix's plus one weighted
+    row, and at most ``_BLOCK`` lists are scored per ``value_batch`` call
+    (see :func:`_first_max`). The value equals ``seq_objective`` of the
+    returned list, bit for bit. Raises :class:`ValidationError` when the
     search space exceeds 10^7 lists.
     """
-    if (measure is None) == (objective is None):
-        raise ValidationError("pass exactly one of measure or objective")
     universe = list(inst.universe())
     k = inst.k
     if allow_repeats is None:
@@ -197,22 +193,11 @@ def exhaustive_opt(
     if count == 0:
         raise ValidationError("no candidate list: too few elements")
 
-    if objective is None:
-        core = inst.dense
-        # WM[j] holds w_j times each element's row
-        WM = core.w[:, None, None] * core.Q[[core.row[e] for e in universe]]
-        best, best_val = _first_max(measure, core.p, WM, allow_repeats)
-        return Sequence(tuple(universe[i] for i in best)), best_val
-
-    gen = (itertools.product(range(n), repeat=k) if allow_repeats
-           else itertools.permutations(range(n), k))
-    best_seq, best_val = None, -math.inf
-    for tup in gen:
-        seq = Sequence(tuple(universe[i] for i in tup))
-        val = objective(seq)
-        if val > best_val:
-            best_seq, best_val = seq, val
-    return best_seq, best_val
+    core = inst.dense
+    # WM[j] holds w_j times each element's row
+    WM = core.w[:, None, None] * core.Q[[core.row[e] for e in universe]]
+    best, best_val = _first_max(measure, core.p, WM, allow_repeats)
+    return Sequence(tuple(universe[i] for i in best)), best_val
 
 
 @dataclass

@@ -224,11 +224,7 @@ class GenParams:
 
 def _random_full(rng: np.random.Generator, n: int) -> np.ndarray:
     raw = rng.uniform(0.0, 1.0, size=n)
-    total = raw.sum()
-    if total == 0:
-        raw = np.ones(n)
-        total = float(n)
-    return raw / total
+    return raw / raw.sum()
 
 
 def generate_instances(params: GenParams, mode: str, seed: int, n: int) -> list[Instance]:

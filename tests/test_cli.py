@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caliblist import cli
 from caliblist.cli import main, parse_measure
 from caliblist.core import (
     HellingerSquared,
@@ -211,6 +212,20 @@ class TestSolve:
         assert main(["solve", str(path), "--algorithm", "continuous-repeats",
                      "--steps", "2", "--samples", "2", *flags]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_only_validation_errors_are_exit_1(self, instance_file, capsys,
+                                               monkeypatch):
+        # a bug surfaces as its traceback, not as "error: 'x'" and exit 1
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "_solve_one", fail)
+        error = KeyError("x")
+        with pytest.raises(KeyError):
+            main(["solve", instance_file])
+        error = ValidationError("bad input")
+        assert main(["solve", instance_file]) == 1
+        assert capsys.readouterr().err == "error: bad input\n"
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 """Unit tests for exhaustive search and the randomized property checkers."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -33,6 +34,26 @@ from test_core import make_instance
 from test_greedy import discrete_instance
 
 
+def _enumerate(inst, G, allow_repeats=None):
+    """The first list of highest ``seq_objective``, scored one list at a time.
+
+    The reference for :func:`exhaustive_opt`: the same universe, repeats
+    default and tie-break, with no shared prefixes or batches.
+    """
+    universe = list(inst.universe())
+    if allow_repeats is None:
+        allow_repeats = inst.mode == "discrete"
+    lists = (itertools.product(universe, repeat=inst.k) if allow_repeats
+             else itertools.permutations(universe, inst.k))
+    best_seq, best_val = None, -math.inf
+    for entries in lists:
+        seq = Sequence(entries)
+        val = seq_objective(G, seq, inst)
+        if val > best_val:
+            best_seq, best_val = seq, val
+    return best_seq, best_val
+
+
 def _twins():
     """Instances whose optimum ties: twin items, and genres under equal weights."""
     base = make_instance()
@@ -47,7 +68,7 @@ def _twins():
 
 @pytest.fixture(scope="module")
 def reference_searches():
-    """(instance, measure, allow_repeats, optimum of the objective path)."""
+    """(instance, measure, allow_repeats, optimum of the reference search)."""
     insts = (generate_instances(GenParams(max_genres=4, max_k=4),
                                 "discrete", seed=51, n=6)
              + generate_instances(GenParams(max_items=5, max_k=3),
@@ -59,9 +80,7 @@ def reference_searches():
             for repeats in (True, False):
                 if not repeats and inst.k > len(inst.universe()):
                     continue
-                want = exhaustive_opt(
-                    inst, objective=lambda s: seq_objective(G, s, inst),
-                    allow_repeats=repeats)
+                want = _enumerate(inst, G, allow_repeats=repeats)
                 cases.append((inst, G, repeats, want))
     return cases
 
@@ -70,9 +89,9 @@ class TestExhaustiveOpt:
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64, None])
     def test_prefix_search_equals_the_objective_path(
             self, monkeypatch, reference_searches, block):
-        # The objective path scores each list by seq_objective, one at a
-        # time; the measure path builds mixtures from their prefixes in
-        # blocks. Lists and values must agree exactly, ties included.
+        # The reference scores each list by seq_objective, one at a time;
+        # exhaustive_opt builds mixtures from their prefixes in blocks.
+        # Lists and values must agree exactly, ties included.
         if block is not None:
             monkeypatch.setattr(oracle, "_BLOCK", block)
         assert len(reference_searches) > 40
@@ -82,17 +101,16 @@ class TestExhaustiveOpt:
             assert val == want_val
 
     def test_vectorized_path_matches_generic_path(self):
-        # The fast measure path and the plain python objective path are
+        # The prefix search and the one-list-at-a-time reference are
         # independent implementations; they must agree exactly.
         G = HellingerSquared()
         insts = generate_instances(GenParams(max_items=4, max_k=3),
                                    "distributional", seed=37, n=25)
         for inst in insts:
             fast_seq, fast_val = exhaustive_opt(inst, measure=G)
-            slow_seq, slow_val = exhaustive_opt(
-                inst, objective=lambda s: seq_objective(G, s, inst))
+            slow_seq, slow_val = _enumerate(inst, G)
             assert fast_seq.entries == slow_seq.entries
-            assert fast_val == pytest.approx(slow_val, abs=1e-12)
+            assert fast_val == slow_val
 
     @pytest.mark.parametrize("mode, params, seed", [
         ("discrete", GenParams(max_genres=5, max_k=8), 7),
@@ -193,17 +211,8 @@ class TestExhaustiveOpt:
         G = Counting()
         seq, value = exhaustive_opt(inst, measure=G)
         assert 0 < G.calls <= 2 * math.ceil(100 / 8)
-        want = exhaustive_opt(
-            inst, objective=lambda s: seq_objective(G, s, inst))
+        want = _enumerate(inst, G)
         assert (seq.entries, value) == (want[0].entries, want[1])
-
-    def test_requires_exactly_one_objective(self):
-        inst = make_instance()
-        with pytest.raises(ValidationError):
-            exhaustive_opt(inst)
-        with pytest.raises(ValidationError):
-            exhaustive_opt(inst, measure=HellingerSquared(),
-                           objective=lambda s: 0.0)
 
     def test_search_limit_enforced(self):
         inst = discrete_instance(
