@@ -101,12 +101,19 @@ Matroid = PartitionMatroid | LaminarMatroid
 def max_weight_basis(m: Matroid, weights: dict[Pair, float]) -> frozenset:
     """Matroid greedy: scan pairs by decreasing weight, keep what fits.
 
+    Ties go to the smaller (item, position); a missing weight counts as 0.
     Whether a pair fits depends only on the chosen set's per-position
     counts, which are kept as the scan goes.
     """
+    ground = m.ground_set()
+    rank = {i: r for r, i in enumerate(sorted(set(m.item_ids)))}
+    # one stable sort on (-weight, item, position); lexsort's last key leads
+    keys = np.array([(j, rank[i], -weights.get((i, j), 0.0))
+                     for i, j in ground]).reshape(-1, 3)
     chosen: set[Pair] = set()
     counts = [0] * (m.k + 1)
-    for e in sorted(m.ground_set(), key=lambda e: (-weights.get(e, 0.0), e)):
+    for t in np.lexsort(keys.T).tolist():
+        e = ground[t]
         counts[e[1]] += 1
         if not m.fits(counts):
             counts[e[1]] -= 1
@@ -136,7 +143,10 @@ class FractionalPoint:
 
 
 def _mean_gains_by_call(F: SetFunction, ground: list[Pair], S: np.ndarray) -> np.ndarray:
-    """:meth:`PairFunction.mean_gains` for any set function, one call per marginal."""
+    """``PairFunction.mean_gains(ground)(S)`` for any set function.
+
+    One call per marginal.
+    """
     gains = [0.0] * len(ground)
     for row in S.tolist():
         members = frozenset(e for e, inside in zip(ground, row) if inside)
@@ -170,13 +180,13 @@ def continuous_greedy(
     rng = np.random.default_rng(seed)
     ground = m.ground_set()
     index = {e: n for n, e in enumerate(ground)}
-    mean_gains = (F.mean_gains if isinstance(F, PairFunction)
-                  else partial(_mean_gains_by_call, F))
+    mean_gains = (F.mean_gains(ground) if isinstance(F, PairFunction)
+                  else partial(_mean_gains_by_call, F, ground))
     x = np.zeros(len(ground))
     for _ in range(steps):
         # row by row, the same draws as one rng.random(len(ground)) per sample
         S = rng.random((samples, len(ground))) < x
-        gains = mean_gains(ground, S)
+        gains = mean_gains(S)
         for e in max_weight_basis(m, dict(zip(ground, gains.tolist()))):
             x[index[e]] += 1.0 / steps
     return FractionalPoint({e: min(v, 1.0) for e, v in zip(ground, x.tolist())})
@@ -279,48 +289,66 @@ class PairFunction:
             pairs = earliest(pairs).items()
         return self.core.pairs_value(self.G, pairs)
 
-    def mean_gains(self, ground: list[Pair], S: np.ndarray) -> np.ndarray:
-        """Mean over the rows of ``S`` of F(set ∪ {e}) − F(set), per pair e.
+    def mean_gains(self, ground: list[Pair]) -> Callable[[np.ndarray], np.ndarray]:
+        """The function of ``S`` that gives, per pair e of ``ground``, the mean
+        over the rows of ``S`` of F(set ∪ {e}) − F(set).
 
-        Row s of the boolean matrix ``S`` marks the pairs of ``ground`` in
-        one sampled set. Adding (i, j) adds ``delta · Q_i`` to the set's
-        mixture: ``w_j`` for hatfg, and for fg ``w_j − w_first(i)`` if j
-        precedes the item's earliest position (``w_first`` is 0 for an
-        absent item). A pair with ``delta = 0`` gains exactly 0. Mixtures
-        are summed by matrix products, so the gains agree with
-        ``_mean_gains_by_call`` only within 1e-12, not bit for bit.
+        ``ground`` is a matroid's ground set: position-major, the same items
+        at every position. Its arrays are built here, once per
+        :func:`continuous_greedy` call. Row s of the boolean matrix ``S``
+        marks the pairs of ``ground`` in one sampled set. Adding (i, j) adds
+        ``delta · Q_i`` to the set's mixture: ``w_j`` for hatfg, and for fg
+        ``w_j − w_first(i)`` if j precedes the item's earliest position
+        (``w_first`` is 0 for an absent item). A pair with ``delta = 0``
+        gains exactly 0. The candidate mixtures of a chunk of samples form
+        one genre-major (genres, samples, pairs) block, which ``value_batch``
+        reads as its transpose. Mixtures are summed by matrix products, so
+        the gains agree with ``_mean_gains_by_call`` only within 1e-12, not
+        bit for bit.
         """
-        core = self.core
-        items = {i: n for n, i in enumerate(dict.fromkeys(i for i, _ in ground))}
-        col = np.array([items[i] for i, _ in ground], dtype=int)
-        pos = np.array([j - 1 for _, j in ground], dtype=int)
+        core, G = self.core, self.G
+        items = list(dict.fromkeys(i for i, _ in ground))
+        n = len(items)
+        k = len(ground) // n
+        if ground != [(i, j) for j in range(1, k + 1) for i in items]:
+            raise ValidationError("ground set is not position-major")
+        col = np.tile(np.arange(n), k)
+        pos = np.arange(k).repeat(n)
         w = core.w[pos]
         Q_items = core.Q[[core.item_row[i] for i in items]]
         Q_pairs = Q_items[col]
-        k = len(core.w)
-        w0 = np.append(core.w, 0.0)  # position index k: the item is absent
+        by_genre = np.ascontiguousarray(Q_pairs.T)  # Q_pairs, genre-major
+        w0 = np.append(core.w[:k], 0.0)  # position index k: the item is absent
         chunk = max(1, _CHUNK_BYTES // Q_pairs.nbytes)
-        total = np.zeros(len(ground))
-        for start in range(0, len(S), chunk):
-            block = S[start:start + chunk]
-            if self.first_only:
-                # each item's earliest sampled position index, k if absent
-                first = np.full((len(items), len(block)), k)
-                np.minimum.at(first, col, np.where(block, pos, k).T)
-                q = w0[first.T] @ Q_items
-                first = first.T[:, col]
-                delta = np.where(pos < first, w - w0[first], 0.0)
-            else:
-                q = np.where(block, w, 0.0) @ Q_pairs
-                delta = np.where(block, 0.0, w)
-            mixtures = q[:, None, :] + delta[:, :, None] * Q_pairs
-            vals = self.G.value_batch(core.p, mixtures.reshape(-1, Q_pairs.shape[1]))
-            vals = vals.reshape(len(block), -1)
-            base = self.G.value_batch(core.p, q)  # each sampled set's value
-            gains = np.where(delta != 0, vals - base[:, None], 0.0)
-            # add sample by sample, in the order of the per-call loop
-            total = np.add.accumulate(np.vstack([total, gains]))[-1]
-        return total / len(S)
+
+        def mean_gains(S: np.ndarray) -> np.ndarray:
+            total = np.zeros(len(ground))
+            for start in range(0, len(S), chunk):
+                block = S[start:start + chunk]
+                if self.first_only:
+                    # each item's earliest sampled position index, k if absent
+                    first = np.full((n, len(block)), k)
+                    at = block.reshape(len(block), k, n)
+                    for j in range(k - 1, -1, -1):
+                        first[at[:, j].T] = j
+                    q = w0[first].T @ Q_items
+                    first = first.T[:, col]
+                    delta = np.where(pos < first, w - w0[first], 0.0)
+                else:
+                    q = np.where(block, w, 0.0) @ Q_pairs
+                    delta = np.where(block, 0.0, w)
+                mixtures = np.multiply(by_genre[:, None], delta, order="C")
+                mixtures += q.T[:, :, None]
+                vals = G.value_batch(core.p, mixtures.reshape(len(by_genre), -1).T)
+                base = G.value_batch(core.p, q)  # each sampled set's value
+                vals = vals.reshape(delta.shape) - base[:, None]
+                gains = np.where(delta != 0, vals, 0.0)
+                # add sample by sample, in the order of the per-call loop
+                gains[0] += total
+                total = np.add.accumulate(gains)[-1]
+            return total / len(S)
+
+        return mean_gains
 
 
 def fg_function(G: OverlapMeasure, inst: Instance) -> PairFunction:

@@ -102,16 +102,19 @@ def _first_max(measure: OverlapMeasure, p: np.ndarray, WM: np.ndarray,
                repeats: bool) -> tuple[tuple[int, ...], float]:
     """The lexicographically first index list of maximum value, and the value.
 
-    ``WM[j]`` holds the weighted element rows of position j. The lists form
-    a tree whose node at depth j has its parent's mixture plus one row of
-    ``WM[j]``: one add per node, and every mixture is added in position
-    order, as :meth:`DenseCore.mixture` adds it. The first h positions (the
-    heads) are enumerated, h as small as keeps the :func:`_subtree` of the
-    other positions to at most ``_BLOCK`` leaves. Each block of heads is
-    expanded level by level and scored with one ``value_batch`` of at most
+    ``WM`` is a C-contiguous (positions, genres, elements) array: ``WM[j]``
+    holds the weighted element rows of position j genre-major, one column
+    per element. The lists form a tree whose node at depth j has its
+    parent's mixture plus one column of ``WM[j]``: one add per node, and
+    every mixture is added in position order, as :meth:`DenseCore.mixture`
+    adds it. Node mixtures are kept genre-major too, and ``value_batch``
+    reads each block as its transpose. The first h positions (the heads)
+    are enumerated, h as small as keeps the :func:`_subtree` of the other
+    positions to at most ``_BLOCK`` leaves. Each block of heads is expanded
+    level by level and scored with one ``value_batch`` of at most
     ``_BLOCK`` lists.
     """
-    k, n, g = WM.shape
+    k, g, n = WM.shape
     depth = k  # the deepest subtree with at most _BLOCK leaves
     while (leaves := (n ** depth if repeats
                       else math.perm(n - k + depth, depth))) > _BLOCK:
@@ -120,28 +123,29 @@ def _first_max(measure: OverlapMeasure, p: np.ndarray, WM: np.ndarray,
     tree = _subtree if leaves <= _CACHED_LEAVES else _subtree.__wrapped__
     levels = tree(n if repeats else n - h, depth, repeats)
     if h == 0:  # one block, no heads: ranks are elements
-        M = WM[0].take(levels[0][1], 0)
+        M = WM[0].take(levels[0][1], 1)
         for j in range(1, k):
             parent, rank = levels[j]
-            M = M.take(parent, 0)
-            M += WM[j].take(rank, 0)
-        vals = measure.value_batch(p, M)
+            M = M.take(parent, 1)
+            M += WM[j].take(rank, 1)
+        vals = measure.value_batch(p, M.T)
         b = int(np.argmax(vals))  # first max = lexicographically smallest
         return tuple(_ranks(levels, b)), float(vals[b])
 
     per_block = _BLOCK // leaves
     # Buffers reused by every block: fresh arrays of megabytes per block
     # cost more in page faults than in arithmetic. Each level keeps its
-    # nodes' mixtures; one buffer holds the rows a level adds. (numpy
-    # buffers ``take`` into ``out`` unless mode is "clip" or "wrap".)
+    # nodes' mixtures; one buffer holds the rows a level adds. A block's
+    # arrays are leading slices, so they stay contiguous. (numpy buffers
+    # ``take`` into ``out`` unless mode is "clip" or "wrap".)
     size = min(per_block, n ** h if repeats else math.perm(n, h))
-    nodes = [np.empty((size, len(rank), g)) for _, rank in levels]
-    added = np.empty((1 if repeats else size) * leaves * g)
+    nodes = [np.empty(g * size * len(rank)) for _, rank in levels]
+    added = np.empty(g * (1 if repeats else size) * leaves)
     best, best_val = None, -math.inf
     for H in _head_blocks(n, h, repeats, per_block):
-        M = WM[0].take(H[:, :1], 0)  # (heads, nodes, genres)
+        M = WM[0].take(H[:, :1], 1)  # (genres, heads, nodes)
         for j in range(1, h):
-            M += WM[j].take(H[:, j:j + 1], 0)
+            M += WM[j].take(H[:, j:j + 1], 1)
         if not repeats:  # each head's unused elements, in order
             free = np.ones((len(H), n), bool)
             free[np.arange(len(H))[:, None], H] = False
@@ -149,13 +153,15 @@ def _first_max(measure: OverlapMeasure, p: np.ndarray, WM: np.ndarray,
         for j, (parent, rank), buf in zip(range(h, k), levels, nodes):
             # the rows a subtree may add (shared by all heads with repeats),
             # then the row each node adds
-            elems = WM[j][None] if repeats else WM[j].take(avail, 0)
-            shape = (len(elems), len(rank), g)
-            rows = elems.take(rank, 1, mode="clip",
+            elems = WM[j][:, None] if repeats else WM[j].take(avail, 1)
+            shape = (g, elems.shape[1], len(rank))
+            rows = elems.take(rank, 2, mode="clip",
                               out=added[:math.prod(shape)].reshape(shape))
-            M = M.take(parent, 1, out=buf[:len(H)], mode="clip")
+            shape = (g, len(H), len(rank))
+            M = M.take(parent, 2, mode="clip",
+                       out=buf[:math.prod(shape)].reshape(shape))
             M += rows
-        vals = measure.value_batch(p, M.reshape(-1, g))
+        vals = measure.value_batch(p, M.reshape(g, -1).T)
         b = int(np.argmax(vals))
         if best is None or vals[b] > best_val:
             head, leaf = divmod(b, leaves)
@@ -178,7 +184,9 @@ def exhaustive_opt(
     default). Ties go to the lexicographically smallest sequence. Lists
     share prefixes: each list's mixture is its prefix's plus one weighted
     row, and at most ``_BLOCK`` lists are scored per ``value_batch`` call
-    (see :func:`_first_max`). The value equals ``seq_objective`` of the
+    (see :func:`_first_max`). The weighted rows ``WM`` are built once, as a
+    C-contiguous (positions, genres, elements) array, so every mixture
+    block is genre-major. The value equals ``seq_objective`` of the
     returned list, bit for bit. Raises :class:`ValidationError` when the
     search space exceeds 10^7 lists.
     """
@@ -194,8 +202,9 @@ def exhaustive_opt(
         raise ValidationError("no candidate list: too few elements")
 
     core = inst.dense
-    # WM[j] holds w_j times each element's row
-    WM = core.w[:, None, None] * core.Q[[core.row[e] for e in universe]]
+    # WM[j] holds w_j times each element's row, genre-major
+    rows = core.Q.take([core.row[e] for e in universe], 0)
+    WM = np.multiply(core.w[:, None, None], rows.T, order="C")
     best, best_val = _first_max(measure, core.p, WM, allow_repeats)
     return Sequence(tuple(universe[i] for i in best)), best_val
 

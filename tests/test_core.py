@@ -272,6 +272,19 @@ class TestValueBatch:
         p, Q = _target_and_rows(seed, n_genres, 300)
         assert G.value_batch(p, Q).tolist() == [G.value(p, q) for q in Q]
 
+    @given(st.integers(0, 10_000), st.integers(1, 40),
+           st.sampled_from([HellingerSquared(), PowerOverlap(0.25)]))
+    @settings(max_examples=120, deadline=None)
+    def test_every_row_equals_value_in_both_layouts(self, seed, n_genres, G):
+        # the solvers pass genre-major blocks, as the transpose of a
+        # C-ordered (genres, rows) array
+        p, Q = _target_and_rows(seed, n_genres, 300)
+        expected = [G.value(p, q) for q in Q]
+        genre_major = np.ascontiguousarray(Q.T).T
+        assert genre_major.flags.f_contiguous
+        assert G.value_batch(p, Q).tolist() == expected
+        assert G.value_batch(p, genre_major).tolist() == expected
+
     @pytest.mark.parametrize("n_genres", [5, 8, 12, 20])
     @pytest.mark.parametrize("G", [HellingerSquared(), PowerOverlap(0.3)],
                              ids=["hellinger", "power"])

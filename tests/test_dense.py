@@ -256,7 +256,7 @@ def test_batched_gains_match_the_per_call_loop(inst, G, first_only, samples, see
     F = (fg_function if first_only else hatfg_function)(G, inst)
     ground = PartitionMatroid(inst.item_ids, inst.k).ground_set()
     S = _sampled_sets(ground, samples, seed)
-    np.testing.assert_allclose(F.mean_gains(ground, S),
+    np.testing.assert_allclose(F.mean_gains(ground)(S),
                                _mean_gains_by_call(F, ground, S),
                                rtol=0, atol=1e-12)
 
@@ -274,7 +274,7 @@ def test_batched_gains_with_a_custom_measure(function):
     F = function(G, inst)
     ground = PartitionMatroid(inst.item_ids, inst.k).ground_set()
     S = _sampled_sets(ground, 10, 50)
-    np.testing.assert_allclose(F.mean_gains(ground, S),
+    np.testing.assert_allclose(F.mean_gains(ground)(S),
                                _mean_gains_by_call(F, ground, S),
                                rtol=0, atol=1e-12)
 
@@ -286,9 +286,9 @@ def test_gains_do_not_depend_on_the_chunk_size(monkeypatch, function):
     F = function(PowerOverlap(0.5), inst)
     ground = PartitionMatroid(inst.item_ids, inst.k).ground_set()
     S = _sampled_sets(ground, 9, 52)
-    whole = F.mean_gains(ground, S)
+    whole = F.mean_gains(ground)(S)
     monkeypatch.setattr(matroid, "_CHUNK_BYTES", 1)  # one sample per chunk
-    np.testing.assert_allclose(F.mean_gains(ground, S), whole, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(F.mean_gains(ground)(S), whole, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("mode", ["distributional", "discrete"])
