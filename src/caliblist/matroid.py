@@ -329,7 +329,7 @@ class PairFunction:
                     # each item's earliest sampled position index, k if absent
                     first = np.full((n, len(block)), k)
                     at = block.reshape(len(block), k, n)
-                    for j in range(k - 1, -1, -1):
+                    for j in range(k - 1, -1, -1):  # the earliest is written last
                         first[at[:, j].T] = j
                     q = w0[first].T @ Q_items
                     first = first.T[:, col]
