@@ -105,11 +105,9 @@ def _solve_one(inst, args, G) -> tuple[Sequence, float, list[float]]:
         seq, val = matroid_mod.solve_distributional(
             inst, G, steps=args.steps, samples=args.samples, seed=args.seed)
         return seq, val, []
-    if algo == "continuous-repeats":
-        seq, val = matroid_mod.solve_with_repeats(
-            inst, G, steps=args.steps, samples=args.samples, seed=args.seed)
-        return seq, val, []
-    raise ValidationError(f"unknown algorithm {algo!r}")
+    seq, val = matroid_mod.solve_with_repeats(  # continuous-repeats
+        inst, G, steps=args.steps, samples=args.samples, seed=args.seed)
+    return seq, val, []
 
 
 def cmd_solve(args) -> int:
@@ -188,10 +186,8 @@ def cmd_verify(args) -> int:
     elif suite == "prop41":
         res = oracle_mod.check_set_to_sequence(
             parse_measure(args.measure), trials=args.n, seed=seed)
-    elif suite == "ratios":
+    else:  # ratios
         out.update(_verify_ratios(args))
-    else:
-        raise ValidationError(f"unknown suite {suite!r}")
     if res is not None:
         out.update(passed=res.passed, violations=res.violations,
                    counterexample=res.counterexample)
@@ -240,13 +236,11 @@ def cmd_repro(args) -> int:
         rows = repro_mod.repro_appendix_b()
         header = f"{'w1':>8} {'ALG':>12} {'OPT':>12}"
         cells = lambda r: f"{r.w1:>8g} {r.alg:>12.6f} {r.opt:>12.6f}"
-    elif args.target == "appendix-c":
+    else:  # appendix-c
         rows = repro_mod.repro_appendix_c()
         header = f"{'sequence':>14} {'value':>10} {'expected':>10}"
         cells = lambda r: (f"{' '.join(r.sequence):>14} {r.value:>10.4f} "
                            f"{r.expected:>10.3f}")
-    else:
-        raise ValidationError(f"unknown repro target {args.target!r}")
     print(f"{header} {'status':>8}")
     for r in rows:
         print(f"{cells(r)} {'pass' if r.ok else 'FAIL':>8}")

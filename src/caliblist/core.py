@@ -302,21 +302,20 @@ def _row_sums(X: np.ndarray) -> np.ndarray:
 class OverlapMeasure:
     """A similarity on (distribution p, subdistribution q) pairs.
 
-    Subclasses implement :meth:`value` on numpy arrays aligned to the
-    instance's genres. Every shipped measure adds exactly 0 on a genre where
+    Subclasses implement one of :meth:`value` and :meth:`value_batch` on
+    numpy arrays aligned to the instance's genres; each method's default
+    calls the other. Every shipped measure adds exactly 0 on a genre where
     p = q = 0, so genres outside both supports do not change the overlap.
     """
 
     name: str = "overlap"
 
     def value(self, p: np.ndarray, q: np.ndarray) -> float:
-        raise NotImplementedError
+        """The overlap of ``p`` and ``q``: the one-row case of :meth:`value_batch`."""
+        return float(self.value_batch(p, q[None])[0])
 
     def value_batch(self, p: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """:meth:`value` against each row of ``Q``, bit for bit.
-
-        The default is a python loop.
-        """
+        """:meth:`value` against each row of ``Q``; the default is a python loop."""
         return np.array([self.value(p, q) for q in Q])
 
 
@@ -324,9 +323,6 @@ class HellingerSquared(OverlapMeasure):
     """Sum of sqrt(p(x) q(x)); maximum value 1, attained only at q = p."""
 
     name = "hellinger"
-
-    def value(self, p, q):
-        return float(np.sum(np.sqrt(p * q)))
 
     def value_batch(self, p, Q):
         X = Q * p
@@ -343,10 +339,6 @@ class PowerOverlap(OverlapMeasure):
         if not 0 < beta < 1:
             raise ValidationError(f"beta must lie in (0,1), got {beta}")
         self.beta = float(beta)
-
-    def value(self, p, q):
-        b = self.beta
-        return float(np.sum(p ** (1 - b) * np.clip(q, 0.0, None) ** b))
 
     def value_batch(self, p, Q):
         b = self.beta

@@ -68,12 +68,8 @@ class _PairMatroid:
         raise NotImplementedError
 
     def independent(self, pairs) -> bool:
-        counts = [0] * (self.k + 1)
-        for i, j in pairs:
-            if j < 1 or j > self.k or i not in self.item_ids:
-                raise ValidationError(f"pair {(i, j)} outside ground set")
-            counts[j] += 1
-        return self.fits(counts)
+        """Whether a set of pairs is independent: its 0/1 point is in the polytope."""
+        return FractionalPoint(dict.fromkeys(pairs, 1.0)).in_polytope(self, tol=0.0)
 
 
 class PartitionMatroid(_PairMatroid):
@@ -136,14 +132,16 @@ class FractionalPoint:
                 raise ValidationError(f"coordinate {e} = {v} outside [0,1]")
 
     def in_polytope(self, m: Matroid, tol: float = 1e-9) -> bool:
-        sums = [0.0] * (m.k + 1)
-        for (_, j), v in self.x.items():
+        sums, items = [0.0] * (m.k + 1), set(m.item_ids)
+        for (i, j), v in self.x.items():
+            if j < 1 or j > m.k or i not in items:
+                raise ValidationError(f"pair {(i, j)} outside ground set")
             sums[j] += v
         return m.fits(sums, tol)
 
 
 def _mean_gains_by_call(F: SetFunction, ground: list[Pair], S: np.ndarray) -> np.ndarray:
-    """``PairFunction.mean_gains(ground)(S)`` for any set function.
+    """``PairFunction.mean_gains(m)(S)`` for any set function, on ``m.ground_set()``.
 
     One call per marginal.
     """
@@ -179,8 +177,10 @@ def continuous_greedy(
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     ground = m.ground_set()
+    if not ground:
+        raise ValidationError("the matroid's ground set is empty")
     index = {e: n for n, e in enumerate(ground)}
-    mean_gains = (F.mean_gains(ground) if isinstance(F, PairFunction)
+    mean_gains = (F.mean_gains(m) if isinstance(F, PairFunction)
                   else partial(_mean_gains_by_call, F, ground))
     x = np.zeros(len(ground))
     for _ in range(steps):
@@ -289,16 +289,16 @@ class PairFunction:
             pairs = earliest(pairs).items()
         return self.core.pairs_value(self.G, pairs)
 
-    def mean_gains(self, ground: list[Pair]) -> Callable[[np.ndarray], np.ndarray]:
-        """The function of ``S`` that gives, per pair e of ``ground``, the mean
-        over the rows of ``S`` of F(set ∪ {e}) − F(set).
+    def mean_gains(self, m: Matroid) -> Callable[[np.ndarray], np.ndarray]:
+        """The function of ``S`` that gives, per pair e of ``m.ground_set()``,
+        the mean over the rows of ``S`` of F(set ∪ {e}) − F(set).
 
-        ``ground`` is a matroid's ground set: position-major, the same items
-        at every position. Its arrays are built here, once per
+        The arrays of the ground set's layout (position-major, the sorted
+        items at every position) are built here, once per
         :func:`continuous_greedy` call. Row s of the boolean matrix ``S``
-        marks the pairs of ``ground`` in one sampled set. Adding (i, j) adds
-        ``delta · Q_i`` to the set's mixture: ``w_j`` for hatfg, and for fg
-        ``w_j − w_first(i)`` if j precedes the item's earliest position
+        marks the pairs of the ground set in one sampled set. Adding (i, j)
+        adds ``delta · Q_i`` to the set's mixture: ``w_j`` for hatfg, and for
+        fg ``w_j − w_first(i)`` if j precedes the item's earliest position
         (``w_first`` is 0 for an absent item). A pair with ``delta = 0``
         gains exactly 0. The candidate mixtures of a chunk of samples form
         one genre-major (genres, samples, pairs) block, which ``value_batch``
@@ -307,11 +307,8 @@ class PairFunction:
         bit for bit.
         """
         core, G = self.core, self.G
-        items = list(dict.fromkeys(i for i, _ in ground))
+        items, k = sorted(m.item_ids), m.k
         n = len(items)
-        k = len(ground) // n
-        if ground != [(i, j) for j in range(1, k + 1) for i in items]:
-            raise ValidationError("ground set is not position-major")
         col = np.tile(np.arange(n), k)
         pos = np.arange(k).repeat(n)
         w = core.w[pos]
@@ -322,7 +319,7 @@ class PairFunction:
         chunk = max(1, _CHUNK_BYTES // Q_pairs.nbytes)
 
         def mean_gains(S: np.ndarray) -> np.ndarray:
-            total = np.zeros(len(ground))
+            total = np.zeros(n * k)
             for start in range(0, len(S), chunk):
                 block = S[start:start + chunk]
                 if self.first_only:

@@ -13,6 +13,7 @@ from caliblist.core import (
     HellingerSquared,
     Instance,
     ItemPositionSet,
+    OverlapMeasure,
     PositionWeights,
     PowerOverlap,
     Sequence,
@@ -295,6 +296,20 @@ class TestValueBatch:
         blocks = np.concatenate([G.value_batch(p, Q[s:s + 4096])
                                  for s in range(0, len(Q), 4096)])
         assert blocks.tolist() == G.value_batch(p, Q).tolist()
+
+
+class TestMeasureContract:
+    def test_value_is_the_one_row_case_of_a_batch_only_measure(self):
+        class BatchOnly(OverlapMeasure):
+            def value_batch(self, p, Q):
+                return np.sqrt(Q * p).sum(axis=1) - 0.1 * Q.max(axis=1)
+
+        G = BatchOnly()
+        p, Q = _target_and_rows(3, 11, 50)
+        for q in Q:
+            value = G.value(p, q)
+            assert type(value) is float
+            assert value == G.value_batch(p, q[None])[0]
 
 
 class TestFDivergence:

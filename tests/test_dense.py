@@ -254,9 +254,10 @@ def _sampled_sets(ground, samples, seed):
 @settings(max_examples=300, deadline=None)
 def test_batched_gains_match_the_per_call_loop(inst, G, first_only, samples, seed):
     F = (fg_function if first_only else hatfg_function)(G, inst)
-    ground = PartitionMatroid(inst.item_ids, inst.k).ground_set()
+    m = PartitionMatroid(inst.item_ids, inst.k)
+    ground = m.ground_set()
     S = _sampled_sets(ground, samples, seed)
-    np.testing.assert_allclose(F.mean_gains(ground)(S),
+    np.testing.assert_allclose(F.mean_gains(m)(S),
                                _mean_gains_by_call(F, ground, S),
                                rtol=0, atol=1e-12)
 
@@ -272,9 +273,10 @@ def test_batched_gains_with_a_custom_measure(function):
                ("c", Subdistribution({"g2": 0.5, "g4": 0.5}))),
         weights=PositionWeights((0.5, 0.3, 0.2))))
     F = function(G, inst)
-    ground = PartitionMatroid(inst.item_ids, inst.k).ground_set()
+    m = PartitionMatroid(inst.item_ids, inst.k)
+    ground = m.ground_set()
     S = _sampled_sets(ground, 10, 50)
-    np.testing.assert_allclose(F.mean_gains(ground)(S),
+    np.testing.assert_allclose(F.mean_gains(m)(S),
                                _mean_gains_by_call(F, ground, S),
                                rtol=0, atol=1e-12)
 
@@ -284,11 +286,12 @@ def test_gains_do_not_depend_on_the_chunk_size(monkeypatch, function):
     inst = generate_instances(GenParams(min_items=6, max_items=6, max_k=4),
                               "distributional", seed=51, n=1)[0]
     F = function(PowerOverlap(0.5), inst)
-    ground = PartitionMatroid(inst.item_ids, inst.k).ground_set()
+    m = PartitionMatroid(inst.item_ids, inst.k)
+    ground = m.ground_set()
     S = _sampled_sets(ground, 9, 52)
-    whole = F.mean_gains(ground)(S)
+    whole = F.mean_gains(m)(S)
     monkeypatch.setattr(matroid, "_CHUNK_BYTES", 1)  # one sample per chunk
-    np.testing.assert_allclose(F.mean_gains(ground)(S), whole, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(F.mean_gains(m)(S), whole, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("mode", ["distributional", "discrete"])

@@ -155,8 +155,25 @@ class TestFractionalPoint:
             x = FractionalPoint({e: float(e in S) for e in ground})
             assert x.in_polytope(m, tol=0.0) == m.independent(S)
 
+    @pytest.mark.parametrize("cls", [PartitionMatroid, LaminarMatroid])
+    @pytest.mark.parametrize("coords", [{("a", 3): 0.5},
+                                        {("a", 0): 0.5, ("b", 1): 0.5},
+                                        {("z", 1): 0.5, ("a", 2): 1.0}])
+    def test_pairs_outside_the_ground_set_rejected(self, cls, coords):
+        m, x = cls(("a", "b"), 2), FractionalPoint(coords)
+        with pytest.raises(ValidationError, match="outside ground set"):
+            x.in_polytope(m)
+        with pytest.raises(ValidationError, match="outside ground set"):
+            pipage_round(m, x, None, seed=0)
+
 
 class TestContinuousGreedy:
+    def test_empty_matroid_rejected(self):
+        inst = make_instance()
+        F = hatfg_function(HellingerSquared(), inst)
+        with pytest.raises(ValidationError, match="empty"):
+            continuous_greedy(F, PartitionMatroid((), 1), 2, 3, 0)
+
     def test_output_in_polytope_with_unit_mass(self):
         inst = make_instance()
         m = LaminarMatroid(inst.item_ids, inst.k)
