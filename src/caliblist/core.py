@@ -316,6 +316,8 @@ class OverlapMeasure:
 
     def value_batch(self, p: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """:meth:`value` against each row of ``Q``; the default is a python loop."""
+        if type(self).value is OverlapMeasure.value:  # neither method defined
+            raise NotImplementedError(f"{type(self).__name__} defines no overlap")
         return np.array([self.value(p, q) for q in Q])
 
 

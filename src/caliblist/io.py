@@ -1,8 +1,8 @@
 """Instance (de)serialization for the CLI file format.
 
 Instances are stored as a single JSON document with explicit mode; unknown
-fields are rejected so that typos fail loudly. Files are parsed with
-``orjson`` when it is installed, with the same outcome as ``json``.
+fields are rejected so that typos fail loudly. Files are parsed and written
+with ``orjson`` when it is installed, with the same outcome as ``json``.
 """
 
 from __future__ import annotations
@@ -30,10 +30,14 @@ _FIELDS = {"genres", "target", "items", "weights", "k", "mode"}
 _ITEM_FIELDS = frozenset({"id", "dist"})
 
 
-def instance_to_dict(inst: Instance) -> dict:
-    return {"genres": list(inst.genres), "target": dict(sorted(inst.target.items())),
-            "items": [{"id": i, "dist": dict(sorted(d.items()))} for i, d in inst.items],
+def _document(inst: Instance, dist) -> dict:
+    return {"genres": list(inst.genres), "target": dist(inst.target),
+            "items": [{"id": i, "dist": dist(d)} for i, d in inst.items],
             "weights": list(inst.weights.w), "k": inst.k, "mode": inst.mode}
+
+
+def instance_to_dict(inst: Instance) -> dict:
+    return _document(inst, lambda d: dict(sorted(d.items())))
 
 
 _JSON_TYPES = {"a number": (float, int), "a string": (str,),
@@ -116,8 +120,8 @@ def instance_from_dict(data: dict) -> Instance:
 def _orjson():
     """The ``orjson`` module, or None when it is not installed.
 
-    It is imported at the first load: it brings in ``uuid`` and ``zoneinfo``
-    (≈8 ms), which a process that loads no file does not need.
+    It is imported at the first load or save: it brings in ``uuid`` and
+    ``zoneinfo`` (≈8 ms), which a process that touches no file does not need.
     """
     try:
         import orjson
@@ -153,6 +157,23 @@ def load_instance(path: str | Path) -> Instance:
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:
+    """Write ``inst`` as 2-space indented JSON with sorted keys and a final newline.
+
+    ``orjson`` writes the same layout, though a small float may take another
+    shortest form (``2.6e-05`` against ``0.000026``) that loads to the same
+    bits. It refuses a string with a lone surrogate, which ``json`` writes.
+    """
+    data = _document(inst, lambda d: d.weights)  # both writers sort the keys
+    fast = _orjson()
+    if fast is not None:
+        try:
+            text = fast.dumps(data, option=fast.OPT_INDENT_2 | fast.OPT_SORT_KEYS
+                              | fast.OPT_APPEND_NEWLINE)
+        except fast.JSONEncodeError:
+            pass
+        else:
+            Path(path).write_bytes(text)
+            return
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -253,11 +253,14 @@ def generate_instances(params: GenParams, mode: str, seed: int, n: int) -> list[
         else:
             n_items = int(rng.integers(max(params.min_items, k),
                                        max(params.max_items, k) + 1))
-            items = tuple(
-                (f"i{i + 1}",
-                 Subdistribution(dict(zip(genres, _random_full(rng, n_genres)))))
-                for i in range(n_items)
-            )
+            # one draw for all rows is the same stream as one draw per row;
+            # a row total on the C-ordered block has each row's 1-D sum bits
+            raw = rng.uniform(0.0, 1.0, size=(n_items, n_genres))
+            raw /= raw.sum(axis=1, keepdims=True)
+            wrap = (Subdistribution.from_positive if (raw > 0).all()
+                    else Subdistribution)  # a drawn 0.0 is dropped
+            items = tuple((f"i{i + 1}", wrap(dict(zip(genres, row))))
+                          for i, row in enumerate(raw.tolist()))
         inst = Instance(
             genres=genres,
             target=target,

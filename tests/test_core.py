@@ -312,6 +312,17 @@ class TestMeasureContract:
             assert value == G.value_batch(p, q[None])[0]
 
 
+    def test_a_measure_with_neither_method_raises(self):
+        class Empty(OverlapMeasure):
+            pass
+
+        p, Q = _target_and_rows(4, 3, 2)
+        with pytest.raises(NotImplementedError):
+            Empty().value(p, Q[0])
+        with pytest.raises(NotImplementedError):
+            Empty().value_batch(p, Q)
+
+
 class TestFDivergence:
     def test_diverging_generator_rejected(self):
         # f(t) = (t-1)^2 has f(t)/t -> infinity, so the divergence is unbounded.

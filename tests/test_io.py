@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -11,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import caliblist.io
-from caliblist.core import Instance, ValidationError
+from caliblist.core import Instance, PositionWeights, Subdistribution, ValidationError
 from caliblist.io import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
     save_instance,
 )
+from caliblist.repro import GenParams, generate_instances
 
 from test_core import make_instance
 from test_golden_load import GOLDEN, documents
@@ -222,3 +224,106 @@ def test_float_masses_load_back_bit_equal(xs):
         for inst in (fast, slow):
             assert inst.items[0][1].weights == {g: m for g, m in dist.items() if m > 0}
             assert inst.target.weights == {g: m for g, m in dist.items() if m > 0}
+
+
+# ---------------------------------------------------------------------------
+# One document whichever module writes the file
+# ---------------------------------------------------------------------------
+
+
+def _both_writers(inst, tmp_path):
+    """Files of ``inst`` written with ``orjson`` (when installed) and with ``json`` alone."""
+    fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
+    save_instance(inst, fast)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(caliblist.io, "_orjson", lambda: None)
+        save_instance(inst, slow)
+    return fast, slow
+
+
+# indent, then an optional key, a value or bracket, and an optional comma
+_LINE = re.compile(r'( *)("(?:[^"\\]|\\.)*": )?(.*?)(,?)')
+
+
+def _token(text):
+    """A line's key or value as JSON reads it; a bracket as itself."""
+    return text if text in (None, "", "{", "}", "[", "]", "{}", "[]") else (
+        type(v := json.loads(text.removesuffix(": "))), v)
+
+
+def _assert_indented_sorted(path):
+    """The file is ``json.dump(indent=2, sort_keys=True)`` plus a newline, line for
+    line, up to how each string or number is spelled."""
+    text = path.read_bytes().decode("utf-8", "surrogatepass")
+    want = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert text.endswith("\n")
+    lines, want_lines = text.split("\n"), want.split("\n")
+    assert len(lines) == len(want_lines)
+    for line, want_line in zip(lines, want_lines):
+        got, ref = _LINE.fullmatch(line).groups(), _LINE.fullmatch(want_line).groups()
+        assert (got[0], got[3]) == (ref[0], ref[3]), (line, want_line)
+        assert list(map(_token, got[1:3])) == list(map(_token, ref[1:3])), (
+            line, want_line)
+
+
+def _hexes(inst):
+    """Every mass and weight of ``inst`` as ``float.hex``, masses by genre."""
+    hexed = lambda d: {g: v.hex() for g, v in d.items()}
+    return (hexed(inst.target), [[i, hexed(d)] for i, d in inst.items],
+            [v.hex() for v in inst.weights.w])
+
+
+def _two_genres(*items, target=None, weights=(0.9, 0.1)):
+    """An unchecked two-genre instance with items ``(id, g1 mass, g2 mass)``."""
+    return Instance(
+        genres=("g1", "g2"),
+        target=Subdistribution.from_positive(target or {"g1": 0.1, "g2": 0.9}),
+        items=tuple((i, Subdistribution.from_positive({"g1": a, "g2": b}))
+                    for i, a, b in items),
+        weights=PositionWeights(weights))
+
+
+WRITE_CASES = {
+    "small floats": _two_genres(("a", 5e-324, 1.0), ("b", 2.6e-05, 1 - 2.6e-05),
+                                ("c", 0.1, 0.9)),
+    "non-ASCII ids": _two_genres(("é", 0.5, 0.5), ("雪", 0.25, 0.75),
+                                 ("🎬", 0.75, 0.25)),
+    "lone surrogate id": _two_genres(("\ud800", 0.5, 0.5), ("b\udfff", 0.1, 0.9)),
+    **{f"generated {mode} seed={seed}": inst
+       for mode in ("distributional", "discrete") for seed in range(3)
+       for inst in generate_instances(GenParams(max_genres=12), mode, seed, 4)[-1:]},
+    "generated 1000x20 k=20": generate_instances(
+        GenParams(20, 20, 1000, 1000, 20, 20), "distributional", 5, 1)[0],
+}
+
+
+@pytest.mark.parametrize("case", WRITE_CASES)
+def test_each_writer_gives_the_same_document(tmp_path, case):
+    inst = WRITE_CASES[case]
+    fast, slow = _both_writers(inst, tmp_path)
+    assert json.loads(fast.read_bytes()) == json.loads(slow.read_bytes())
+    assert slow.read_text() == json.dumps(instance_to_dict(inst), indent=2,
+                                          sort_keys=True) + "\n"
+    for path in (fast, slow):
+        _assert_indented_sorted(path)
+        for loaded in _both_parsers(path):
+            assert loaded == inst
+            assert _hexes(loaded) == _hexes(inst)
+
+
+def test_floats_no_instance_holds_are_written_alike(tmp_path):
+    inst = _two_genres(("a", 0.5, 0.5), target={"g1": 1e16, "g2": 1e22})
+    fast, slow = _both_writers(inst, tmp_path)
+    got = json.loads(fast.read_bytes())
+    assert got == json.loads(slow.read_bytes())
+    assert [v.hex() for v in got["target"].values()] == [(1e16).hex(), (1e22).hex()]
+    for path in (fast, slow):
+        _assert_indented_sorted(path)
+    assert _both_parsers(fast) == _both_parsers(slow)
+
+
+def test_a_file_is_written_without_json(tmp_path, monkeypatch):
+    pytest.importorskip("orjson")
+    monkeypatch.setattr(caliblist.io.json, "dump", None)
+    save_instance(make_instance(), tmp_path / "inst.json")
+    assert load_instance(tmp_path / "inst.json") == make_instance()

@@ -150,10 +150,16 @@ class TestFractionalPoint:
     def test_integral_points_match_independence(self, cls):
         m = cls(("a", "b", "c"), 3)
         ground = m.ground_set()
+        seen = set()
         for mask in range(1 << len(ground)):
             S = {e for n, e in enumerate(ground) if mask >> n & 1}
+            counts = [sum(j == ell for _, j in S) for ell in (1, 2, 3)]
+            fits = (max(counts) <= 1 if cls is PartitionMatroid else
+                    all(sum(counts[:ell]) <= ell for ell in (1, 2, 3)))
             x = FractionalPoint({e: float(e in S) for e in ground})
-            assert x.in_polytope(m, tol=0.0) == m.independent(S)
+            assert m.independent(S) == x.in_polytope(m, tol=0.0) == fits
+            seen.add(fits)
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("cls", [PartitionMatroid, LaminarMatroid])
     @pytest.mark.parametrize("coords", [{("a", 3): 0.5},

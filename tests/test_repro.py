@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from caliblist.core import HellingerSquared, Sequence, ValidationError, seq_objective
@@ -129,6 +130,29 @@ class TestGenerator:
                                        seed=55, n=20):
             w = inst.weights.w
             assert all(a >= b for a, b in zip(w, w[1:]))
+
+    def test_drawn_zero_masses_are_dropped(self, monkeypatch):
+        real = np.random.default_rng
+
+        class FirstGenreZero:
+            """A generator whose every uniform draw is 0.0 in its first column."""
+
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def uniform(self, low, high, size):
+                out = self.rng.uniform(low, high, size)
+                out[..., 0] = 0.0
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", FirstGenreZero)
+        params = GenParams(min_genres=3, max_genres=3, min_k=2)
+        for inst in generate_instances(params, "distributional", seed=57, n=10):
+            for dist in (inst.target, *(d for _, d in inst.items)):
+                assert list(dist.weights) == ["g2", "g3"] and dist.is_full()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):
