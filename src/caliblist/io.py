@@ -31,6 +31,7 @@ _ITEM_FIELDS = frozenset({"id", "dist"})
 
 
 def _document(inst: Instance, dist) -> dict:
+    """The file's document of ``inst``, each of its dists given as ``dist(d)``."""
     return {"genres": list(inst.genres), "target": dist(inst.target),
             "items": [{"id": i, "dist": dist(d)} for i, d in inst.items],
             "weights": list(inst.weights.w), "k": inst.k, "mode": inst.mode}

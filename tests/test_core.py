@@ -311,7 +311,6 @@ class TestMeasureContract:
             assert type(value) is float
             assert value == G.value_batch(p, q[None])[0]
 
-
     def test_a_measure_with_neither_method_raises(self):
         class Empty(OverlapMeasure):
             pass
