@@ -191,9 +191,9 @@ class Instance:
 
     @cached_property
     def dense(self) -> DenseCore:
-        """The dense core, built on first use and kept with the instance."""
+        """The dense core of a validated instance, built on first use and kept."""
         dists = [d.weights for _, d in self.items]
-        genres = sorted(set(self.genres).union(self.target.weights, *dists))
+        genres = sorted(self.genres)
         gidx = {g: n for n, g in enumerate(genres)}
         m, n_items = len(genres), len(dists)
         p = np.zeros(m)
@@ -206,7 +206,7 @@ class Instance:
         flat += np.fromiter(map(gidx.__getitem__, chain.from_iterable(dists)), int, len(flat))
         np.put(Q, flat, np.fromiter(chain.from_iterable(map(dict.values, dists)),
                                     float, len(flat)))
-        item_row = dict(zip(self.item_ids[::-1], range(n_items - 1, -1, -1)))  # first id wins
+        item_row = dict(zip(self.item_ids, range(n_items)))
         row = item_row
         if unit:
             Q[n_items:] = np.eye(m)
@@ -215,9 +215,6 @@ class Instance:
         for a in (p, Q, w):
             a.setflags(write=False)
         return DenseCore(tuple(genres), p, Q, w, item_row, row)
-
-    def item_dist(self, item_id: str) -> Subdistribution:
-        return self.items[self.dense.item_row[item_id]][1]
 
     def universe(self) -> tuple[str, ...]:
         """Sorted element universe: genres in discrete mode, items otherwise."""

@@ -102,13 +102,12 @@ def max_weight_basis(m: Matroid, weights: dict[Pair, float]) -> frozenset:
     counts, which are kept as the scan goes.
     """
     ground = m.ground_set()
-    rank = {i: r for r, i in enumerate(sorted(set(m.item_ids)))}
-    # one stable sort on (-weight, item, position); lexsort's last key leads
-    keys = np.array([(j, rank[i], -weights.get((i, j), 0.0))
-                     for i, j in ground]).reshape(-1, 3)
+    # a stable sort on (-weight, item): ties keep the ground set's order
+    order = np.lexsort((np.arange(len(ground)) % len(m.item_ids),
+                        [-weights.get(e, 0.0) for e in ground]))
     chosen: set[Pair] = set()
     counts = [0] * (m.k + 1)
-    for t in np.lexsort(keys.T).tolist():
+    for t in order.tolist():
         e = ground[t]
         counts[e[1]] += 1
         if not m.fits(counts):
@@ -198,43 +197,45 @@ def pipage_round(m: Matroid, x: FractionalPoint, F: SetFunction | None,
 
     Works by mean-preserving pairwise swaps; the multilinear extension is
     convex along every two-coordinate direction, so expected value never
-    decreases for submodular F. The fractional entries are kept in one list
-    in (position, item) order. Each pass swaps the first two entries of
-    every column that still holds two or more, in column order, until every
-    column holds at most one. On the laminar matroid, swaps then pair the
-    first two entries of the list until one is left. A swap moves one of its
-    two coordinates to 0 or 1 and snaps only those two, within 1e-12; no
-    other coordinate changed. Each remaining entry is rounded by one
-    Bernoulli draw, in item order. The objective is not consulted. Integral
-    inputs pass through as their support.
+    decreases for submodular F. Each column's fractional entries form a
+    stack, the first item on top. Passes swap the top two of every column
+    holding two or more, in column order, until none does; the laminar
+    matroid then swaps the top two of one stack of what is left, the first
+    column on top, until one entry is left. A swap moves one of its two
+    coordinates to 0 or 1, snaps only those two, within 1e-12, and puts
+    back what stays fractional, the earlier entry on top. Each remaining
+    entry is rounded by one Bernoulli draw, in item order. The objective is
+    not consulted. Integral inputs pass through as their support.
     """
     if not x.in_polytope(m, tol=1e-6):
         raise ValidationError("point outside the matroid polytope")
     snap = lambda v: 0.0 if abs(v) < 1e-12 else 1.0 if abs(v - 1.0) < 1e-12 else v
     vals = {e: snap(min(max(v, 0.0), 1.0)) for e, v in x.x.items()}
     rng = np.random.default_rng(seed)
-    frac = sorted((e for e, v in vals.items() if 0.0 < v < 1.0),
-                  key=lambda e: (e[1], e[0]))
-    while len(frac) >= 2:
-        columns = (list(col) for _, col in groupby(frac, key=lambda e: e[1]))
-        pairs = [col[:2] for col in columns if len(col) >= 2]
-        if not pairs:
-            if not isinstance(m, LaminarMatroid):
-                break
-            # A prefix ending between the two leftmost fractional columns
-            # holds integers plus the earlier entry, so filling that entry
-            # keeps it within its cap, and a shift to the later one lowers it.
-            pairs = [frac[:2]]
-        for a, b in pairs:
-            up = min(1.0 - vals[a], vals[b])
-            down = min(vals[a], 1.0 - vals[b])
-            shift = up if rng.random() < down / (up + down) else -down
-            vals[a] = snap(vals[a] + shift)
-            vals[b] = snap(vals[b] - shift)
-        frac = [e for e in frac if 0.0 < vals[e] < 1.0]
+
+    def swap_top(stack: list[Pair]) -> None:
+        a, b = stack.pop(), stack.pop()
+        up = min(1.0 - vals[a], vals[b])
+        down = min(vals[a], 1.0 - vals[b])
+        shift = up if rng.random() < down / (up + down) else -down
+        vals[a] = snap(vals[a] + shift)
+        vals[b] = snap(vals[b] - shift)
+        stack += [e for e in (b, a) if 0.0 < vals[e] < 1.0]
+
+    frac = sorted((e for e, v in vals.items() if 0.0 < v < 1.0), key=lambda e: (e[1], e[0]))
+    stacks = [list(col)[::-1] for _, col in groupby(frac, key=lambda e: e[1])]
+    while busy := [s for s in stacks if len(s) >= 2]:
+        for s in busy:
+            swap_top(s)
+    left = [s[0] for s in reversed(stacks) if s]  # the first column on top
+    if isinstance(m, LaminarMatroid):
+        # A prefix ending between the top two holds integers plus the upper
+        # one: filling that keeps its cap, and a shift to the lower lowers it.
+        while len(left) >= 2:
+            swap_top(left)
     # At most one fractional entry is left per column (partition) or in
     # all (laminar), so rounding each on its own keeps the set independent.
-    for e in sorted(frac):
+    for e in sorted(left):
         vals[e] = 1.0 if rng.random() < vals[e] else 0.0
 
     support = frozenset(e for e, v in vals.items() if v == 1.0)

@@ -388,15 +388,6 @@ def test_set_values_do_not_depend_on_the_hash_seed():
 
 
 class TestItemDist:
-    def test_lookup_matches_scan(self):
-        inst = make_instance()
-        for i in inst.item_ids:
-            assert inst.item_dist(i) is ref_item_dist(inst, i)
-
-    def test_unknown_id_raises_key_error(self):
-        with pytest.raises(KeyError):
-            make_instance().item_dist("nope")
-
     def test_unknown_list_element_raises_key_error(self):
         with pytest.raises(KeyError):
             seq_objective(HellingerSquared(), Sequence(("nope",)),
