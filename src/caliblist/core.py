@@ -23,6 +23,7 @@ TOL = 1e-9
 __all__ = [
     "TOL",
     "ValidationError",
+    "ordered_sum",
     "Subdistribution",
     "PositionWeights",
     "Instance",
@@ -48,6 +49,19 @@ class ValidationError(ValueError):
     """An instance or argument violates a structural invariant."""
 
 
+def ordered_sum(values):
+    """Left-to-right total from the int 0, as ``sum`` adds before Python 3.12.
+
+    From 3.12 on ``sum`` compensates the rounding of float additions, which
+    changes some totals in the last bit, so every float total of the package
+    is taken here. An empty total is the int 0, as ``sum`` gives.
+    """
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class Subdistribution:
     """Sparse nonnegative genre-weight vector with total mass at most 1.
@@ -65,7 +79,7 @@ class Subdistribution:
                 clean[g] = v
             elif v != 0:
                 raise ValidationError(f"negative or NaN mass {v} for genre {g!r}")
-        total = sum(clean.values())
+        total = ordered_sum(clean.values())
         if not total <= 1 + TOL:  # also rejects +inf
             raise ValidationError(f"mass {total} exceeds 1")
         object.__setattr__(self, "weights", clean)
@@ -81,7 +95,7 @@ class Subdistribution:
         return self.weights.get(genre, 0.0)
 
     def total(self) -> float:
-        return sum(self.weights.values())
+        return ordered_sum(self.weights.values())
 
     def is_full(self) -> bool:
         return abs(self.total() - 1.0) <= TOL
@@ -107,7 +121,7 @@ class PositionWeights:
         for a, b in zip(w, w[1:]):
             if a < b - TOL:
                 raise ValidationError("weights not weakly decreasing")
-        total = sum(w)
+        total = ordered_sum(w)
         if abs(total - 1.0) > 1e-6:
             raise ValidationError(f"weights sum to {total}, expected 1")
         if abs(total - 1.0) > TOL:
@@ -430,9 +444,9 @@ def validate_instance(inst: Instance) -> Instance:
         raise ValidationError("target uses undeclared genres")
     ids = inst.item_ids
     dists = [d.weights for _, d in inst.items]
-    off = [abs(sum(d.values()) - 1.0) > TOL for d in dists]  # sums as total() does
+    off = [abs(ordered_sum(d.values()) - 1.0) > TOL for d in dists]  # as total() sums
     for fails, message in (  # in a scan's order; a cheaper test may skip a check
-            ([sum(d.values()) > 1 + TOL for d in dists] if True in off else [],
+            ([ordered_sum(d.values()) > 1 + TOL for d in dists] if True in off else [],
              "mass {t} exceeds 1"),
             ([] if len(set(ids)) == len(ids) else
              [ids.index(i) != n for n, i in enumerate(ids)], "duplicate item id {i!r}"),
@@ -443,7 +457,7 @@ def validate_instance(inst: Instance) -> Instance:
              "item {i!r} is not a point mass in discrete mode")):
         if True in fails:
             n = fails.index(True)
-            raise ValidationError(message.format(i=ids[n], t=sum(dists[n].values())))
+            raise ValidationError(message.format(i=ids[n], t=ordered_sum(dists[n].values())))
     if inst.mode not in ("distributional", "discrete"):
         raise ValidationError(f"unknown mode {inst.mode!r}")
     return inst

@@ -28,6 +28,7 @@ from .core import (
     PositionWeights,
     Sequence,
     ValidationError,
+    ordered_sum,
     seq_objective,
 )
 
@@ -183,7 +184,7 @@ def discrete_objective(inst: Instance) -> Callable[[Sequence], float]:
         load: dict[str, float] = {}
         for j, g in enumerate(seq, start=1):
             load[g] = load.get(g, 0.0) + inst.weights[j]
-        return sum(math.sqrt(p.get(g) * a) for g, a in load.items())
+        return ordered_sum(math.sqrt(p.get(g) * a) for g, a in load.items())
 
     return value
 
@@ -231,7 +232,7 @@ def truncate_instance(inst: Instance, length: int) -> Instance:
     if not 1 <= length <= inst.k:
         raise ValidationError(f"length {length} outside [1, {inst.k}]")
     w = inst.weights.w[:length]
-    total = sum(w)
+    total = ordered_sum(w)
     short = replace(inst, weights=PositionWeights(tuple(v / total for v in w)))
     short_w = np.array(short.weights.w)
     short_w.setflags(write=False)

@@ -21,6 +21,7 @@ from .core import (
     Sequence,
     Subdistribution,
     ValidationError,
+    ordered_sum,
     seq_objective,
     validate_instance,
 )
@@ -79,8 +80,8 @@ def kl_mmr_objective(inst: KlMmrInstance, seq: Sequence) -> float:
     weights = (inst.w1, 1.0)
     total = 0.0
     for g in range(4):
-        inner = sum(weights[r] * table[item][g]
-                    for r, item in enumerate(seq) if r < 2)
+        inner = ordered_sum(weights[r] * table[item][g]
+                            for r, item in enumerate(seq) if r < 2)
         if inner <= 0:
             return -math.inf
         total += inst.target[g] * math.log(inner)

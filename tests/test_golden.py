@@ -11,10 +11,11 @@ To re-record after an intended output change:
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from caliblist.cli import main
-from caliblist.core import Instance, Subdistribution, validate_instance
+from caliblist.core import Instance, Subdistribution, ordered_sum, validate_instance
 from caliblist.io import save_instance
 from caliblist.repro import GenParams, generate_instances
 
@@ -33,7 +34,7 @@ def _missing_genres(inst: Instance) -> Instance:
 
     def cut(d: Subdistribution) -> Subdistribution:
         kept = {g: v for g, v in d.items() if g not in drop}
-        total = sum(kept.values())
+        total = ordered_sum(kept.values())
         return Subdistribution({g: v / total for g, v in kept.items()})
 
     items = tuple((i, cut(d) if n % 2 == 0 else d)
@@ -97,12 +98,17 @@ CORPUS = (
 )
 
 
-def run_corpus(workdir: Path, capture) -> list[dict]:
-    """Solve every (instance, arguments) pair; ``capture()`` returns stdout."""
+def run_corpus(workdir: Path, capture, reverse: bool = False) -> list[dict]:
+    """Solve every (instance, arguments) pair; ``capture()`` returns stdout.
+
+    With ``reverse`` each instance is written with its items reversed.
+    """
     records = []
     for group, (mode, params, seed, count, argvs, *edit) in enumerate(CORPUS):
         insts = generate_instances(params, mode, seed, count)
         for n, inst in enumerate(map(edit[0], insts) if edit else insts):
+            if reverse:
+                inst = replace(inst, items=inst.items[::-1])
             path = workdir / f"{group}-{mode}-{n}.json"
             save_instance(inst, path)
             for argv in argvs:
@@ -118,6 +124,12 @@ def test_machine_records_match_golden(tmp_path, capsys):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w
+
+
+def test_reversed_catalogs_give_the_same_records(tmp_path, capsys):
+    # every solver reads items in id order or by id, never by catalog position
+    got = run_corpus(tmp_path, lambda: capsys.readouterr().out, reverse=True)
+    assert got == json.loads(GOLDEN.read_text())
 
 
 if __name__ == "__main__":
