@@ -50,11 +50,10 @@ class ValidationError(ValueError):
 
 
 def ordered_sum(values):
-    """Left-to-right total from the int 0, as ``sum`` adds before Python 3.12.
+    """Left-to-right total from the int 0: ``sum``'s bits before Python 3.12.
 
-    From 3.12 on ``sum`` compensates the rounding of float additions, which
-    changes some totals in the last bit, so every float total of the package
-    is taken here. An empty total is the int 0, as ``sum`` gives.
+    From 3.12 on ``sum`` compensates float rounding, which moves some totals'
+    last bits, so every float total of the package is taken here.
     """
     total = 0
     for v in values:
@@ -315,8 +314,8 @@ class OverlapMeasure:
 
     Subclasses implement one of :meth:`value` and :meth:`value_batch` on
     numpy arrays aligned to the instance's genres; each method's default
-    calls the other. Every shipped measure adds exactly 0 on a genre where
-    p = q = 0, so genres outside both supports do not change the overlap.
+    calls the other. Each shipped measure adds 0 on a genre where p = q = 0,
+    though from 8 genres on such a genre can move the last bits (pairwise sums).
     """
 
     name: str = "overlap"
@@ -444,9 +443,10 @@ def validate_instance(inst: Instance) -> Instance:
         raise ValidationError("target uses undeclared genres")
     ids = inst.item_ids
     dists = [d.weights for _, d in inst.items]
-    off = [abs(ordered_sum(d.values()) - 1.0) > TOL for d in dists]  # as total() sums
+    totals = [ordered_sum(d.values()) for d in dists]  # summed as total() does
+    off = [abs(t - 1.0) > TOL for t in totals]
     for fails, message in (  # in a scan's order; a cheaper test may skip a check
-            ([ordered_sum(d.values()) > 1 + TOL for d in dists] if True in off else [],
+            ([t > 1 + TOL for t in totals] if True in off else [],
              "mass {t} exceeds 1"),
             ([] if len(set(ids)) == len(ids) else
              [ids.index(i) != n for n, i in enumerate(ids)], "duplicate item id {i!r}"),
@@ -457,7 +457,7 @@ def validate_instance(inst: Instance) -> Instance:
              "item {i!r} is not a point mass in discrete mode")):
         if True in fails:
             n = fails.index(True)
-            raise ValidationError(message.format(i=ids[n], t=ordered_sum(dists[n].values())))
+            raise ValidationError(message.format(i=ids[n], t=totals[n]))
     if inst.mode not in ("distributional", "discrete"):
         raise ValidationError(f"unknown mode {inst.mode!r}")
     return inst
