@@ -50,11 +50,8 @@ class ValidationError(ValueError):
 
 
 def ordered_sum(values):
-    """Left-to-right total from the int 0: ``sum``'s bits before Python 3.12.
-
-    From 3.12 on ``sum`` compensates float rounding, which moves some totals'
-    last bits, so every float total of the package is taken here.
-    """
+    """Left-to-right total from the int 0: the bits of ``sum`` before Python
+    3.12 (whose ``sum`` compensates float rounding). Every float total uses it."""
     total = 0
     for v in values:
         total += v

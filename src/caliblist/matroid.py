@@ -229,8 +229,8 @@ def pipage_round(m: Matroid, x: FractionalPoint, F: SetFunction | None,
             swap_top(s)
     left = [s[0] for s in reversed(stacks) if s]  # the first column on top
     if isinstance(m, LaminarMatroid):
-        # A prefix ending between the top two holds integers plus the upper
-        # one: filling that keeps its cap, and a shift to the lower lowers it.
+        # A prefix ending between the top two entries holds integers plus the
+        # earlier one, so filling it keeps the cap; a shift to the later lowers it.
         while len(left) >= 2:
             swap_top(left)
     # At most one fractional entry is left per column (partition) or in
