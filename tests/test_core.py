@@ -24,6 +24,7 @@ from caliblist.core import (
     hatfg_set,
     induced_distribution,
     seq_objective,
+    _row_sums,
     validate_instance,
 )
 
@@ -296,6 +297,78 @@ class TestValueBatch:
         blocks = np.concatenate([G.value_batch(p, Q[s:s + 4096])
                                  for s in range(0, len(Q), 4096)])
         assert blocks.tolist() == G.value_batch(p, Q).tolist()
+
+
+def _reference_row_sums(X):
+    """What ``np.sum`` gives on each row: left to right below 8 terms,
+    numpy's pairwise order on a C-ordered row from 8 terms up."""
+    if X.shape[1] >= 8:
+        return np.ascontiguousarray(X).sum(axis=1)
+    out = np.zeros(len(X))
+    for column in X.T:
+        out += column
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _both_layouts(X):
+    genre_major = np.asfortranarray(X)
+    return [("C", np.ascontiguousarray(X)), ("F", genre_major)]
+
+
+class TestRowSums:
+    """``_row_sums`` against a reference that does not share its code, so the
+    order of the additions is pinned whatever the implementation."""
+
+    @pytest.mark.parametrize("n_cols", range(1, 21))
+    def test_matches_the_reference_order(self, n_cols):
+        rng = np.random.default_rng(n_cols)
+        for n_rows in (1, 2, 7, 300, 4097, 65_536):
+            # magnitudes 1e-8..1e8 and both signs, so the order shows in the bits
+            X = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-8, 9, (n_rows, n_cols))
+            X[rng.random(X.shape) < 0.05] = -0.0
+            expected = _reference_row_sums(X)
+            for layout, Y in _both_layouts(X):
+                assert _same_bits(_row_sums(Y), expected), (n_rows, layout)
+
+    @pytest.mark.parametrize("n_cols", [1, 3, 7, 8, 20])
+    def test_rows_of_signed_zeros_sum_to_plus_zero(self, n_cols):
+        X = np.full((5, n_cols), -0.0)
+        X[1::2] = 0.0
+        for _, Y in _both_layouts(X):
+            assert _same_bits(_row_sums(Y), np.zeros(5))
+
+
+class TestPowerEdgeValues:
+    """``PowerOverlap.value_batch`` clamps q at 0 before the power; the clamp
+    must give the bits of ``np.clip(Q, 0.0, None)`` on every input."""
+
+    @staticmethod
+    def _clip_formula(beta, p, Q):
+        X = np.clip(Q, 0.0, None)
+        X **= beta
+        X *= p ** (1 - beta)
+        return _reference_row_sums(X)
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("n_genres", [1, 2, 5, 7, 8, 20])
+    def test_matches_the_clip_formula_bit_for_bit(self, beta, n_genres):
+        rng = np.random.default_rng(n_genres)
+        p, Q = _target_and_rows(n_genres, n_genres, 400)
+        specials = np.array([-0.3, -0.0, 0.0, np.nan, np.inf, -np.inf, -1e-300, 5e-324])
+        mask = rng.random(Q.shape) < 0.3
+        Q[mask] = rng.choice(specials, mask.sum())
+        Q[:len(specials)] = specials[:, None]  # one row of each special value
+        G = PowerOverlap(beta)
+        expected = self._clip_formula(beta, p, Q)
+        assert np.isnan(expected).any() and (expected == np.inf).any()
+        for layout, Y in _both_layouts(Q):
+            assert _same_bits(G.value_batch(p, Y), expected), layout
+        for q in Q[:len(specials)]:
+            assert _same_bits(np.array([G.value(p, q)]), self._clip_formula(beta, p, q[None]))
 
 
 class TestMeasureContract:
