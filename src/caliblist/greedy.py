@@ -103,18 +103,19 @@ def sequence_objective_fn(G: OverlapMeasure, inst: Instance) -> ListObjective:
     return ListObjective(G, inst)
 
 
-def _best_two(vals: np.ndarray) -> tuple[int | None, int | None]:
+def _best_two(vals: np.ndarray, dead: np.ndarray) -> tuple[int | None, int | None]:
     """Indices of the first strict maximum and of the first maximum of the rest.
 
     These are what a scan keeps with ``if v > best: ... elif v > runner:``
-    from -inf: NaN and -inf are never kept.
+    from -inf, skipping ``dead``: NaN and -inf are never kept.
     """
-    v = np.where(vals > -np.inf, vals, -np.inf)
-    b = int(np.argmax(v))
+    v = np.fmax(vals, -np.inf)  # NaN -> -inf, in a new array
+    v[dead] = -np.inf
+    b = int(v.argmax())
     if v[b] == -np.inf:
         return None, None
     v[b] = -np.inf
-    r = int(np.argmax(v))
+    r = int(v.argmax())
     return b, (r if v[r] > -np.inf else None)
 
 
@@ -149,9 +150,8 @@ def greedy_sequence(
     for pos in range(1, k + 1):
         if dead.all():
             raise ValidationError(f"universe exhausted at position {pos}")
-        vals = np.array(score(seq), dtype=float)
-        vals[dead] = -np.inf  # never kept, so picked elements drop out
-        b, r = _best_two(vals)
+        vals = np.asarray(score(seq), dtype=float)
+        b, r = _best_two(vals, dead)  # picked elements drop out
         best = runner = None
         best_val = runner_val = -math.inf
         if b is not None:
