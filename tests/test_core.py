@@ -315,8 +315,7 @@ def _same_bits(a, b):
 
 
 def _both_layouts(X):
-    genre_major = np.asfortranarray(X)
-    return [("C", np.ascontiguousarray(X)), ("F", genre_major)]
+    return [("C", np.ascontiguousarray(X)), ("F", np.asfortranarray(X))]
 
 
 class TestRowSums:
