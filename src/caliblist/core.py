@@ -299,7 +299,7 @@ def _row_sums(X: np.ndarray) -> np.ndarray:
     C-ordered copy (no copy when ``X`` is C-ordered).
     """
     layout = np.ascontiguousarray if X.shape[1] >= 8 else np.asfortranarray
-    return layout(X).sum(axis=1)
+    return np.add.reduce(layout(X), axis=1)  # ndarray.sum minus its python wrapper
 
 
 class OverlapMeasure:
