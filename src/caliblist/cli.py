@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import cache
 
 from . import greedy as greedy_mod
 from . import matroid as matroid_mod
@@ -291,9 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_shared_parser = cache(build_parser)  # parse_args leaves the parser as it was
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         rc = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Mapping
 
 import numpy as np
@@ -28,6 +28,7 @@ __all__ = [
     "PositionWeights",
     "Instance",
     "DenseCore",
+    "FlatMasses",
     "Sequence",
     "ItemPositionSet",
     "OverlapMeasure",
@@ -202,35 +203,95 @@ class Instance:
     @cached_property
     def dense(self) -> DenseCore:
         """The dense core of a validated instance, built on first use and kept."""
-        dists = [d.weights for _, d in self.items]
-        genres = sorted(self.genres)
-        gidx = {g: n for n, g in enumerate(genres)}
-        m, n_items = len(genres), len(dists)
-        p = np.zeros(m)
-        for g, v in self.target.items():
-            p[gidx[g]] = v
-        unit = self.mode == "discrete"
-        Q = np.zeros((n_items + (m if unit else 0), m))
-        # all item masses in one scatter, at flat index row * m + column
-        flat = np.arange(n_items).repeat(list(map(len, dists))) * m
-        flat += np.fromiter(map(gidx.__getitem__, chain.from_iterable(dists)), int, len(flat))
-        np.put(Q, flat, np.fromiter(chain.from_iterable(map(dict.values, dists)),
-                                    float, len(flat)))
-        item_row = dict(zip(self.item_ids, range(n_items)))
-        row = item_row
-        if unit:
-            Q[n_items:] = np.eye(m)
-            row = {**item_row, **{g: n_items + n for g, n in gidx.items()}}
-        w = np.array(self.weights.w)
-        for a in (p, Q, w):
-            a.setflags(write=False)
-        return DenseCore(tuple(genres), p, Q, w, item_row, row)
+        return FlatMasses.of(self).core(self)
 
     def universe(self) -> tuple[str, ...]:
         """Sorted element universe: genres in discrete mode, items otherwise."""
         if self.mode == "discrete":
             return tuple(sorted(self.genres))
         return tuple(sorted(self.item_ids))
+
+
+@dataclass(frozen=True, eq=False)
+class FlatMasses:
+    """Every item mass of an instance laid end to end, in catalog and key order.
+
+    ``sizes`` counts each item's masses and ``cols`` gives each mass's column
+    among the sorted ``genres``, -1 for a genre the instance does not declare.
+    These arrays give :func:`validate_instance` its per-item totals and genre
+    verdicts, and the instance its :class:`DenseCore`, in one pass.
+    """
+
+    genres: tuple[str, ...]
+    sizes: np.ndarray
+    cols: np.ndarray
+    masses: np.ndarray
+
+    @classmethod
+    def of(cls, inst: Instance, masses: np.ndarray | None = None) -> FlatMasses:
+        """The masses of ``inst``; ``masses`` gives their values when known."""
+        dists = [d.weights for _, d in inst.items]
+        genres = tuple(sorted(inst.genres))
+        gidx = {g: n for n, g in enumerate(genres)}
+        sizes = list(map(len, dists))
+        total = sum(sizes)
+        if masses is None:
+            masses = np.fromiter(chain.from_iterable(map(dict.values, dists)),
+                                 float, total)
+        keys = list(dists[0]) if dists else []
+        if all(list(d) == keys for d in dists):  # as save_instance writes a catalog
+            cols = np.fromiter(map(gidx.get, keys, repeat(-1)), int, len(keys))
+            cols = cols[None].repeat(len(dists), 0).ravel()
+        else:
+            cols = np.fromiter(map(gidx.get, chain.from_iterable(dists), repeat(-1)),
+                               int, total)
+        return cls(genres, np.array(sizes, int), cols, masses)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The item row of each mass."""
+        return np.arange(len(self.sizes)).repeat(self.sizes)
+
+    def totals(self) -> list:
+        """Each item's :func:`ordered_sum`: the int 0 for an empty item."""
+        sizes = self.sizes
+        pad = np.zeros((len(sizes), sizes.max(initial=0) + 1))  # trailing zeros add nothing
+        starts = (np.cumsum(sizes) - sizes).repeat(sizes)
+        pad[self.rows, np.arange(len(starts)) - starts] = self.masses
+        totals = np.add.accumulate(pad, axis=1)[:, -1].tolist()  # left to right
+        for r in np.flatnonzero(sizes == 0).tolist():
+            totals[r] = 0
+        return totals
+
+    def undeclared(self) -> list[bool]:
+        """Whether each item has a mass on an undeclared genre; [] if none has."""
+        bad = self.cols < 0
+        if not bad.any():
+            return []
+        return np.bincount(self.rows[bad], minlength=len(self.sizes)).astype(bool).tolist()
+
+    def core(self, inst: Instance) -> DenseCore:
+        """The dense core of ``inst``, whose masses these are."""
+        if self.cols.min(initial=0) < 0:
+            raise KeyError("an item has a mass on an undeclared genre")
+        genres, n_items = self.genres, len(self.sizes)
+        m = len(genres)
+        gidx = {g: n for n, g in enumerate(genres)}
+        p = np.zeros(m)
+        for g, v in inst.target.items():
+            p[gidx[g]] = v
+        unit = inst.mode == "discrete"
+        Q = np.zeros((n_items + (m if unit else 0), m))
+        np.put(Q, self.rows * m + self.cols, self.masses)
+        item_row = dict(zip(inst.item_ids, range(n_items)))
+        row = item_row
+        if unit:
+            Q[n_items:] = np.eye(m)
+            row = {**item_row, **{g: n_items + n for g, n in gidx.items()}}
+        w = np.array(inst.weights.w)
+        for a in (p, Q, w):
+            a.setflags(write=False)
+        return DenseCore(genres, p, Q, w, item_row, row)
 
 
 @dataclass(frozen=True)
@@ -421,11 +482,13 @@ class CustomMeasure(OverlapMeasure):
 # ---------------------------------------------------------------------------
 
 
-def validate_instance(inst: Instance) -> Instance:
+def validate_instance(inst: Instance, flat: FlatMasses | None = None) -> Instance:
     """Check all structural invariants, returning the instance unchanged.
 
     Raises :class:`ValidationError` describing the first violation found:
     of the item checks, the first that fails, at the first item it flags.
+    ``flat``, the instance's masses laid end to end, gives the item totals
+    and genre verdicts without a pass over the item dicts.
     """
     genre_set = set(inst.genres)
     if len(genre_set) != len(inst.genres):
@@ -436,15 +499,19 @@ def validate_instance(inst: Instance) -> Instance:
         raise ValidationError("target uses undeclared genres")
     ids = inst.item_ids
     dists = [d.weights for _, d in inst.items]
-    totals = [ordered_sum(d.values()) for d in dists]  # summed as total() does
+    if flat is None:
+        totals = [ordered_sum(d.values()) for d in dists]  # summed as total() does
+        undeclared = ([] if genre_set.issuperset(chain.from_iterable(dists)) else
+                      [not d.keys() <= genre_set for d in dists])
+    else:
+        totals, undeclared = flat.totals(), flat.undeclared()
     off = [abs(t - 1.0) > TOL for t in totals]
     for fails, message in (  # in a scan's order; a cheaper test may skip a check
             ([t > 1 + TOL for t in totals] if True in off else [],
              "mass {t} exceeds 1"),
             ([] if len(set(ids)) == len(ids) else
              [ids.index(i) != n for n, i in enumerate(ids)], "duplicate item id {i!r}"),
-            ([] if genre_set.issuperset(chain.from_iterable(dists)) else
-             [not d.keys() <= genre_set for d in dists], "item {i!r} uses undeclared genres"),
+            (undeclared, "item {i!r} uses undeclared genres"),
             (off, "item {i!r} mass {t} != 1"),
             ([len(d) != 1 for d in dists] if inst.mode == "discrete" else [],
              "item {i!r} is not a point mass in discrete mode")):

@@ -84,16 +84,20 @@ class ListObjective:
 
         The elements' rows are taken once. Each call adds ``w_j · Q_e`` to the
         prefix mixture in the order of :meth:`DenseCore.mixture`, in one batch,
-        so every value equals the call's.
+        so every value equals the call's. The batch is written into one buffer,
+        so each call's values are only good until the next call.
         """
         core, k = self.inst.dense, self.inst.k
         Q = core.Q.take([core.row[e] for e in elements], 0)
+        batch = np.empty_like(Q)
 
         def values(seq: Sequence) -> np.ndarray:
             if len(seq) >= k:
                 raise ValidationError(f"sequence longer than k={k}")
             q = core.mixture([core.row[e] for e in seq], core.w[:len(seq)])
-            return self.G.value_batch(core.p, q + core.w[len(seq)] * Q)
+            np.multiply(Q, core.w[len(seq)], out=batch)
+            np.add(batch, q, out=batch)  # q + w_j · Q_e: float addition commutes
+            return self.G.value_batch(core.p, batch)
 
         return values
 

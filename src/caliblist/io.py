@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    FlatMasses,
     Instance,
     PositionWeights,
     Subdistribution,
@@ -72,7 +73,8 @@ def instance_from_dict(data: dict) -> Instance:
     Dists of positive floats only are wrapped unchecked, their totals left to
     :func:`validate_instance`; the instance keeps these dicts of the document,
     so the document must not change afterwards. Any other dist converts ints
-    and drops zeros.
+    and drops zeros. The item masses, laid end to end once, give the item
+    checks and fill the instance's dense core.
     """
     data = _typed(data, "an object", "instance")
     unknown = set(data) - _FIELDS
@@ -98,8 +100,9 @@ def instance_from_dict(data: dict) -> Instance:
     dists = [e["dist"] for e in entries]
     _all(dists, "an object", "dist")
     masses = list(chain.from_iterable(d.values() for d in dists))
-    clean = (_all(masses, "a number", "dist")
-             and (np.fromiter(masses, float, len(masses)) > 0).all())
+    values = (np.fromiter(masses, float, len(masses))
+              if _all(masses, "a number", "dist") else None)
+    clean = values is not None and bool((values > 0).all())
     subs = list(map(Subdistribution.from_positive if clean else Subdistribution,
                     dists))
     ids = [e["id"] for e in entries]
@@ -108,13 +111,17 @@ def instance_from_dict(data: dict) -> Instance:
     _all(genres, "a string", "genre id")
     target = _typed(data["target"], "an object", "target")
     _all(target.values(), "a number", "target")
-    return validate_instance(Instance(
+    inst = Instance(
         genres=tuple(genres),
         target=Subdistribution(target),
         items=tuple(zip(ids, subs)),
         weights=weights,
         mode=_typed(data["mode"], "a string", "mode"),
-    ))
+    )
+    flat = FlatMasses.of(inst, values if clean else None)
+    validate_instance(inst, flat)
+    vars(inst)["dense"] = flat.core(inst)  # fills the cached property
+    return inst
 
 
 @cache

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from caliblist.core import (
     HellingerSquared,
     Instance,
+    OverlapMeasure,
     PositionWeights,
     Sequence,
     Subdistribution,
     ValidationError,
+    _row_sums,
     seq_objective,
     validate_instance,
 )
@@ -177,11 +180,24 @@ def tied_instances(draw, n_genres):
     return Instance(inst.genres, inst.target, items, inst.weights, inst.mode)
 
 
+class InPlaceView(OverlapMeasure):
+    """Hellinger worked out in the array it is given, returned as a view of it."""
+
+    name = "in-place-view"
+
+    def value_batch(self, p, Q):
+        Q *= p
+        np.sqrt(Q, out=Q)
+        Q[:, 0] = _row_sums(Q)
+        return Q[:, 0]
+
+
 class TestBatchedGreedy:
     """The batched path must make the loop's choices with the loop's values."""
 
     @given(st.one_of(tied_instances((1, 7)), tied_instances((8, 14))),
-           st.one_of(measures, st.just(GENRE_COUNT)), st.booleans(), st.data())
+           st.one_of(measures, st.just(GENRE_COUNT), st.just(InPlaceView())),
+           st.booleans(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_same_list_and_steps_as_one_call_per_candidate(
             self, inst, G, allow_repeats, data):

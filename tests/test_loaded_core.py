@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caliblist.core import (
+    FlatMasses,
     Instance,
     PositionWeights,
     Subdistribution,
@@ -131,13 +132,24 @@ def documents(draw):
             "mode": mode}
 
 
-def built(doc):
-    """The instance of ``doc`` built from ``Subdistribution`` dicts and checked
-    by ``validate_instance``: the reference for loaded instances and errors."""
-    return validate_instance(Instance(
+def unchecked(doc):
+    """The instance of ``doc`` built from ``Subdistribution`` dicts."""
+    return Instance(
         genres=tuple(doc["genres"]), target=Subdistribution(doc["target"]),
         items=tuple((e["id"], Subdistribution(e["dist"])) for e in doc["items"]),
-        weights=PositionWeights(tuple(doc["weights"])), mode=doc["mode"]))
+        weights=PositionWeights(tuple(doc["weights"])), mode=doc["mode"])
+
+
+def built(doc):
+    """``unchecked(doc)`` checked by ``validate_instance`` over its dicts: the
+    reference for loaded instances and errors."""
+    return validate_instance(unchecked(doc))
+
+
+def assert_ordered_totals(inst):
+    """The flat totals are ``ordered_sum``'s, bits and type: the int 0 if empty."""
+    want = [ordered_sum(d.weights.values()) for _, d in inst.items]
+    assert repr(FlatMasses.of(inst).totals()) == repr(want)
 
 
 @given(documents())
@@ -146,6 +158,7 @@ def test_loaded_documents_have_the_lazy_core(doc):
     inst = instance_from_dict(copy.deepcopy(doc))
     assert inst == built(doc)
     assert_lazy_core(inst)
+    assert_ordered_totals(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +206,10 @@ def test_item_errors_quote_the_ordered_total(doc, data):
                 items[n]["dist"] = {g: 0.5, h: 0.5}
     got = _error(lambda doc: instance_from_dict(copy.deepcopy(doc)), doc)
     assert got == _error(built, doc)
+    try:
+        assert_ordered_totals(unchecked(doc))
+    except ValidationError:  # Subdistribution refuses a total past 1
+        pass
     if got is not None and got.endswith(("exceeds 1", "!= 1")):
         quoted = {f"mass {_total(e['dist'])} exceeds 1" for e in items}
         quoted |= {f"item {e['id']!r} mass {_total(e['dist'])} != 1" for e in items}
