@@ -255,7 +255,13 @@ class FlatMasses:
     def totals(self) -> list:
         """Each item's :func:`ordered_sum`: the int 0 for an empty item."""
         sizes = self.sizes
-        pad = np.zeros((len(sizes), sizes.max(initial=0) + 1))  # trailing zeros add nothing
+        width = sizes.max(initial=0) + 1  # trailing zeros add nothing
+        if len(sizes) * width > 4 * (len(self.masses) + len(sizes)):
+            # a ragged catalog: padding every item to the widest would outgrow
+            # the masses, so add each item's masses in Python instead
+            ends, masses = np.cumsum(sizes).tolist(), self.masses.tolist()
+            return [ordered_sum(masses[e - s:e]) for s, e in zip(sizes.tolist(), ends)]
+        pad = np.zeros((len(sizes), width))
         starts = (np.cumsum(sizes) - sizes).repeat(sizes)
         pad[self.rows, np.arange(len(starts)) - starts] = self.masses
         totals = np.add.accumulate(pad, axis=1)[:, -1].tolist()  # left to right

@@ -72,6 +72,7 @@ def test_golden_corpus_files_load_with_the_lazy_core(tmp_path):
                 save_instance(variant, path)
                 loaded = load_instance(path)
                 assert loaded == variant
+                assert "dense" in vars(loaded)  # filled at load
                 assert_lazy_core(loaded)
                 core, built = loaded.dense, variant.dense
                 for name in ("p", "Q", "w"):
@@ -152,6 +153,20 @@ def assert_ordered_totals(inst):
     assert repr(FlatMasses.of(inst).totals()) == repr(want)
 
 
+def test_padded_and_ragged_totals_are_ordered_sums():
+    """Totals taken over padded rows, and item by item in a ragged catalog
+    (one wide item among point masses), are ``ordered_sum``'s bits."""
+    genres = tuple(f"g{n}" for n in range(40))
+    raw = np.random.default_rng(5).random(40)
+    wide = Subdistribution(dict(zip(genres, (raw / raw.sum()).tolist())))
+    point = Subdistribution({"g7": 1.0})
+    for items in ([wide, wide, Subdistribution({})],
+                  [wide, Subdistribution({})] + [point] * 30):
+        inst = Instance(genres, point, tuple((f"i{n}", d) for n, d in enumerate(items)),
+                        PositionWeights((1.0,)), "distributional")
+        assert_ordered_totals(inst)
+
+
 @given(documents())
 @settings(max_examples=300, deadline=None)
 def test_loaded_documents_have_the_lazy_core(doc):
@@ -200,10 +215,9 @@ def test_item_errors_quote_the_ordered_total(doc, data):
             items[n]["dist"] = {**d, "zz": 1e-3}
         elif fault == "duplicate":
             items[n]["id"] = items[0]["id"]
-        else:  # two genres in a discrete-mode item
-            if len(doc["genres"]) > 1:
-                g, h = doc["genres"][:2]
-                items[n]["dist"] = {g: 0.5, h: 0.5}
+        elif len(doc["genres"]) > 1:  # spread: no point mass in discrete mode
+            g, h = doc["genres"][:2]
+            items[n]["dist"] = {g: 0.5, h: 0.5}
     got = _error(lambda doc: instance_from_dict(copy.deepcopy(doc)), doc)
     assert got == _error(built, doc)
     try:
