@@ -67,7 +67,9 @@ class SolveReport:
 
     def machine_record(self) -> dict:
         # wall-clock time is excluded so identical runs are byte-identical
-        return {k: v for k, v in asdict(self).items() if k != "duration"}
+        record = dict(vars(self))
+        del record["duration"]
+        return record
 
     def text(self) -> str:
         lines = [

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Mapping
 
 import numpy as np
@@ -184,6 +184,11 @@ class Instance:
     optimization universe is the genre set itself; in ``distributional``
     mode items carry arbitrary genre mixtures and the universe is the
     item catalog.
+
+    A loaded instance (:meth:`of_masses`) keeps its item masses flat and
+    builds ``items`` from them on first access. Equality, ``repr``,
+    ``dataclasses.replace`` and the writers go through ``items``; the
+    solvers read only ``item_ids`` and ``dense``.
     """
 
     genres: tuple[str, ...]
@@ -192,11 +197,32 @@ class Instance:
     weights: PositionWeights
     mode: str = "distributional"
 
+    @classmethod
+    def of_masses(cls, genres: tuple[str, ...], target: Subdistribution,
+                  ids: list[str], flat: FlatMasses, weights: PositionWeights,
+                  mode: str) -> Instance:
+        """The instance whose items ``ids`` have the masses ``flat``; its
+        ``items`` are built when first read."""
+        self = object.__new__(cls)
+        vars(self).update(genres=genres, target=target, weights=weights, mode=mode,
+                          item_ids=tuple(ids), _masses=flat)
+        return self
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set: the items of a loaded instance
+        flat = vars(self).get("_masses") if name == "items" else None
+        if flat is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        items = vars(self)["items"] = flat.items(self.item_ids)
+        del vars(self)["_masses"]
+        return items
+
     @property
     def k(self) -> int:
         return self.weights.k
 
-    @property
+    @cached_property
     def item_ids(self) -> tuple[str, ...]:
         return tuple(i for i, _ in self.items)
 
@@ -214,12 +240,16 @@ class Instance:
 
 @dataclass(frozen=True, eq=False)
 class FlatMasses:
-    """Every item mass of an instance laid end to end, in catalog and key order.
+    """Every item mass of an instance, in catalog and key order.
 
-    ``sizes`` counts each item's masses and ``cols`` gives each mass's column
-    among the sorted ``genres``, -1 for a genre the instance does not declare.
-    These arrays give :func:`validate_instance` its per-item totals and genre
-    verdicts, and the instance its :class:`DenseCore`, in one pass.
+    ``sizes`` counts each item's masses. When every item writes the same keys
+    in the same order, as ``save_instance`` writes a catalog, ``masses`` is
+    one (items × keys) block and ``cols`` gives each key's column among the
+    sorted ``genres``. Otherwise ``masses`` lies end to end and ``cols`` gives
+    each mass's column. A column is -1 for a genre the instance does not
+    declare. These arrays give :func:`validate_instance` its per-item totals
+    and verdicts, the instance its :class:`DenseCore`, and a loaded instance
+    its items.
     """
 
     genres: tuple[str, ...]
@@ -228,44 +258,66 @@ class FlatMasses:
     masses: np.ndarray
 
     @classmethod
-    def of(cls, inst: Instance, masses: np.ndarray | None = None) -> FlatMasses:
-        """The masses of ``inst``; ``masses`` gives their values when known."""
-        dists = [d.weights for _, d in inst.items]
-        genres = tuple(sorted(inst.genres))
+    def of(cls, inst: Instance) -> FlatMasses:
+        """The masses of the item dicts of ``inst``."""
+        return cls.of_dists(inst.genres, [d.weights for _, d in inst.items])
+
+    @classmethod
+    def of_dists(cls, genres, dists: list, masses: np.ndarray | None = None) -> FlatMasses:
+        """The masses of the item dicts ``dists`` over the declared ``genres``;
+        ``masses`` gives their values end to end when known."""
+        genres = tuple(sorted(genres))
         gidx = {g: n for n, g in enumerate(genres)}
-        sizes = list(map(len, dists))
-        total = sum(sizes)
+        sizes = np.fromiter(map(len, dists), int, len(dists))
+        total = int(sizes.sum())
         if masses is None:
             masses = np.fromiter(chain.from_iterable(map(dict.values, dists)),
                                  float, total)
         keys = list(dists[0]) if dists else []
-        if all(list(d) == keys for d in dists):  # as save_instance writes a catalog
+        if all(list(d) == keys for d in dists):
             cols = np.fromiter(map(gidx.get, keys, repeat(-1)), int, len(keys))
-            cols = cols[None].repeat(len(dists), 0).ravel()
-        else:
-            cols = np.fromiter(map(gidx.get, chain.from_iterable(dists), repeat(-1)),
-                               int, total)
-        return cls(genres, np.array(sizes, int), cols, masses)
+            return cls(genres, sizes, cols, masses.reshape(len(dists), len(keys)))
+        cols = np.fromiter(map(gidx.get, chain.from_iterable(dists), repeat(-1)),
+                           int, total)
+        return cls(genres, sizes, cols, masses)
+
+    @property
+    def block(self) -> bool:
+        """Whether every item writes the same keys: ``masses`` is 2-D."""
+        return self.masses.ndim == 2
 
     @cached_property
     def rows(self) -> np.ndarray:
-        """The item row of each mass."""
+        """The item row of each mass laid end to end."""
         return np.arange(len(self.sizes)).repeat(self.sizes)
 
-    def totals(self) -> list:
-        """Each item's :func:`ordered_sum`: the int 0 for an empty item."""
+    def sums(self) -> np.ndarray:
+        """Each item's :func:`ordered_sum` as a float: 0.0 for an empty item."""
         sizes = self.sizes
+        if self.block:
+            # column adds over the genre-major transpose; 0 + v is v, so the
+            # first column starts the sums
+            M = self.masses
+            sums = M[:, 0].copy() if M.shape[1] else np.zeros(len(M))
+            for col in M.T[1:]:
+                sums += col
+            return sums
         width = sizes.max(initial=0) + 1  # trailing zeros add nothing
         if len(sizes) * width > 4 * (len(self.masses) + len(sizes)):
             # a ragged catalog: padding every item to the widest would outgrow
             # the masses, so add each item's masses in Python instead
             ends, masses = np.cumsum(sizes).tolist(), self.masses.tolist()
-            return [ordered_sum(masses[e - s:e]) for s, e in zip(sizes.tolist(), ends)]
+            return np.array([ordered_sum(masses[e - s:e])
+                             for s, e in zip(sizes.tolist(), ends)], float)
         pad = np.zeros((len(sizes), width))
         starts = (np.cumsum(sizes) - sizes).repeat(sizes)
         pad[self.rows, np.arange(len(starts)) - starts] = self.masses
-        totals = np.add.accumulate(pad, axis=1)[:, -1].tolist()  # left to right
-        for r in np.flatnonzero(sizes == 0).tolist():
+        return np.add.accumulate(pad, axis=1)[:, -1]  # left to right
+
+    def totals(self) -> list:
+        """Each item's :func:`ordered_sum`: the int 0 for an empty item."""
+        totals = self.sums().tolist()
+        for r in np.flatnonzero(self.sizes == 0).tolist():
             totals[r] = 0
         return totals
 
@@ -274,6 +326,8 @@ class FlatMasses:
         bad = self.cols < 0
         if not bad.any():
             return []
+        if self.block:  # every item writes the undeclared key
+            return [True] * len(self.sizes)
         return np.bincount(self.rows[bad], minlength=len(self.sizes)).astype(bool).tolist()
 
     def core(self, inst: Instance) -> DenseCore:
@@ -288,7 +342,10 @@ class FlatMasses:
             p[gidx[g]] = v
         unit = inst.mode == "discrete"
         Q = np.zeros((n_items + (m if unit else 0), m))
-        np.put(Q, self.rows * m + self.cols, self.masses)
+        if self.block:
+            Q[:n_items, self.cols] = self.masses
+        else:
+            np.put(Q, self.rows * m + self.cols, self.masses)
         item_row = dict(zip(inst.item_ids, range(n_items)))
         row = item_row
         if unit:
@@ -298,6 +355,18 @@ class FlatMasses:
         for a in (p, Q, w):
             a.setflags(write=False)
         return DenseCore(genres, p, Q, w, item_row, row)
+
+    def items(self, ids) -> tuple[tuple[str, Subdistribution], ...]:
+        """The items ``ids`` with these masses, each dict in its key order; all
+        masses positive and on declared genres."""
+        genre = self.genres.__getitem__
+        if self.block:
+            keys = list(map(genre, self.cols.tolist()))
+            dists = (dict(zip(keys, row)) for row in self.masses.tolist())
+        else:
+            pairs = zip(map(genre, self.cols.tolist()), self.masses.tolist())
+            dists = (dict(islice(pairs, s)) for s in self.sizes.tolist())
+        return tuple(zip(ids, map(Subdistribution.from_positive, dists)))
 
 
 @dataclass(frozen=True)
@@ -493,8 +562,8 @@ def validate_instance(inst: Instance, flat: FlatMasses | None = None) -> Instanc
 
     Raises :class:`ValidationError` describing the first violation found:
     of the item checks, the first that fails, at the first item it flags.
-    ``flat``, the instance's masses laid end to end, gives the item totals
-    and genre verdicts without a pass over the item dicts.
+    ``flat``, the instance's item masses, gives the item totals and verdicts
+    as numpy masks, without a pass over the item dicts.
     """
     genre_set = set(inst.genres)
     if len(genre_set) != len(inst.genres):
@@ -504,25 +573,31 @@ def validate_instance(inst: Instance, flat: FlatMasses | None = None) -> Instanc
     if not inst.target.weights.keys() <= genre_set:
         raise ValidationError("target uses undeclared genres")
     ids = inst.item_ids
-    dists = [d.weights for _, d in inst.items]
+    discrete = inst.mode == "discrete"
     if flat is None:
+        dists = [d.weights for _, d in inst.items]
         totals = [ordered_sum(d.values()) for d in dists]  # summed as total() does
+        off = [abs(t - 1.0) > TOL for t in totals]
+        over = [t > 1 + TOL for t in totals] if True in off else []
         undeclared = ([] if genre_set.issuperset(chain.from_iterable(dists)) else
                       [not d.keys() <= genre_set for d in dists])
-    else:
-        totals, undeclared = flat.totals(), flat.undeclared()
-    off = [abs(t - 1.0) > TOL for t in totals]
+        spread = [len(d) != 1 for d in dists] if discrete else []
+    else:  # the same verdicts as masks
+        sums = flat.sums()
+        off, over = np.abs(sums - 1.0) > TOL, sums > 1 + TOL
+        undeclared = flat.undeclared()
+        spread = flat.sizes != 1 if discrete else []
     for fails, message in (  # in a scan's order; a cheaper test may skip a check
-            ([t > 1 + TOL for t in totals] if True in off else [],
-             "mass {t} exceeds 1"),
+            (over, "mass {t} exceeds 1"),
             ([] if len(set(ids)) == len(ids) else
              [ids.index(i) != n for n, i in enumerate(ids)], "duplicate item id {i!r}"),
             (undeclared, "item {i!r} uses undeclared genres"),
             (off, "item {i!r} mass {t} != 1"),
-            ([len(d) != 1 for d in dists] if inst.mode == "discrete" else [],
-             "item {i!r} is not a point mass in discrete mode")):
+            (spread, "item {i!r} is not a point mass in discrete mode")):
         if True in fails:
-            n = fails.index(True)
+            n = list(fails).index(True)
+            if flat is not None:
+                totals = flat.totals()
             raise ValidationError(message.format(i=ids[n], t=totals[n]))
     if inst.mode not in ("distributional", "discrete"):
         raise ValidationError(f"unknown mode {inst.mode!r}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from copy import copy
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -230,17 +231,19 @@ def discrete_greedy(inst: Instance) -> tuple[Sequence, GreedyTrace]:
 def truncate_instance(inst: Instance, length: int) -> Instance:
     """Restrict to the first ``length`` positions, renormalizing the weights.
 
-    The result shares the parent's dense core except ``w``, which is built
-    from its own weights (``PositionWeights`` may renormalize them again).
+    The result shares the parent's items, built or not, and its dense core
+    except ``w``, which is built from its own weights (``PositionWeights``
+    may renormalize them again).
     """
     if not 1 <= length <= inst.k:
         raise ValidationError(f"length {length} outside [1, {inst.k}]")
     w = inst.weights.w[:length]
     total = ordered_sum(w)
-    short = replace(inst, weights=PositionWeights(tuple(v / total for v in w)))
-    short_w = np.array(short.weights.w)
+    weights = PositionWeights(tuple(v / total for v in w))
+    short_w = np.array(weights.w)
     short_w.setflags(write=False)
-    vars(short)["dense"] = replace(inst.dense, w=short_w)  # fills the cached property
+    short = copy(inst)  # a replace() would build the items of a loaded instance
+    vars(short).update(weights=weights, dense=replace(inst.dense, w=short_w))
     return short
 
 

@@ -70,11 +70,11 @@ def _all(values, kind: str, where: str) -> bool:
 def instance_from_dict(data: dict) -> Instance:
     """The checked instance of a JSON document; one type pass per kind of value.
 
-    Dists of positive floats only are wrapped unchecked, their totals left to
-    :func:`validate_instance`; the instance keeps these dicts of the document,
-    so the document must not change afterwards. Any other dist converts ints
-    and drops zeros. The item masses, laid end to end once, give the item
-    checks and fill the instance's dense core.
+    When every item mass is a positive float, the instance keeps the masses
+    as flat arrays (:class:`FlatMasses`), which give the item checks and fill
+    its dense core; its ``items`` are built from them when first read. Any
+    other document wraps each dist as a ``Subdistribution``, which converts
+    ints, drops zeros and rejects negative masses, before the same checks.
     """
     data = _typed(data, "an object", "instance")
     unknown = set(data) - _FIELDS
@@ -103,22 +103,21 @@ def instance_from_dict(data: dict) -> Instance:
     values = (np.fromiter(masses, float, len(masses))
               if _all(masses, "a number", "dist") else None)
     clean = values is not None and bool((values > 0).all())
-    subs = list(map(Subdistribution.from_positive if clean else Subdistribution,
-                    dists))
+    subs = None if clean else list(map(Subdistribution, dists))
     ids = [e["id"] for e in entries]
     _all(ids, "a string", "item id")
-    genres = _typed(data["genres"], "a list", "genres")
+    genres = tuple(_typed(data["genres"], "a list", "genres"))
     _all(genres, "a string", "genre id")
     target = _typed(data["target"], "an object", "target")
     _all(target.values(), "a number", "target")
-    inst = Instance(
-        genres=tuple(genres),
-        target=Subdistribution(target),
-        items=tuple(zip(ids, subs)),
-        weights=weights,
-        mode=_typed(data["mode"], "a string", "mode"),
-    )
-    flat = FlatMasses.of(inst, values if clean else None)
+    target = Subdistribution(target)
+    mode = _typed(data["mode"], "a string", "mode")
+    if clean:
+        flat = FlatMasses.of_dists(genres, dists, values)
+        inst = Instance.of_masses(genres, target, ids, flat, weights, mode)
+    else:
+        inst = Instance(genres, target, tuple(zip(ids, subs)), weights, mode)
+        flat = FlatMasses.of(inst)
     validate_instance(inst, flat)
     vars(inst)["dense"] = flat.core(inst)  # fills the cached property
     return inst

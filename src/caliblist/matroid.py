@@ -373,7 +373,7 @@ def solve_distributional(
     """
     if inst.mode != "distributional":
         raise ValidationError("solve_distributional requires distributional mode")
-    if len(inst.items) < inst.k:
+    if len(inst.item_ids) < inst.k:
         raise ValidationError("need at least k items for a repeat-free list")
     m = LaminarMatroid(inst.item_ids, inst.k)
     F = fg_function(G, inst)
@@ -391,7 +391,7 @@ def solve_with_repeats(
     seed: int = 42,
 ) -> tuple[Sequence, float]:
     """Continuous greedy + rounding on the partition matroid (repeats allowed)."""
-    if not inst.items:
+    if not inst.item_ids:
         raise ValidationError("need at least one item to fill the list")
     m = PartitionMatroid(inst.item_ids, inst.k)
     F = hatfg_function(G, inst)

@@ -15,6 +15,8 @@ from dataclasses import replace
 
 from hypothesis import given, settings
 
+from caliblist.cli import main
+from caliblist.core import Subdistribution
 from caliblist.io import instance_from_dict, instance_to_dict, load_instance, save_instance
 from caliblist.repro import generate_instances
 
@@ -64,3 +66,45 @@ def test_golden_corpus_files_load_the_items_as_built(tmp_path):
 def test_loaded_documents_have_the_items_as_built(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "lazy_items.json"
     assert_items_as_built(lambda: instance_from_dict(copy.deepcopy(doc)), built(doc), path)
+
+
+# ---------------------------------------------------------------------------
+# Solving a file builds no item Subdistribution
+# ---------------------------------------------------------------------------
+
+ALGORITHMS = ("greedy", "discrete-greedy", "exhaustive", "continuous",
+              "continuous-repeats")
+
+
+def test_no_solve_path_builds_the_items(tmp_path, monkeypatch, capsys):
+    """Every algorithm, with each argument list of the golden corpus
+    (``--best-length`` and ``--k-override`` among them), solves a corpus file
+    reading only the ids and the dense core: the target is the one
+    ``Subdistribution`` a solve constructs."""
+    built_dists = []
+    post_init, from_positive = Subdistribution.__post_init__, Subdistribution.from_positive
+
+    def counted_init(self):
+        built_dists.append(self.weights)
+        post_init(self)
+
+    def counted_positive(weights):
+        built_dists.append(weights)
+        return from_positive(weights)
+
+    monkeypatch.setattr(Subdistribution, "__post_init__", counted_init)
+    monkeypatch.setattr(Subdistribution, "from_positive", counted_positive)
+    solved = set()
+    for group, (mode, params, seed, _, argvs, *edit) in enumerate(CORPUS):
+        inst = generate_instances(params, mode, seed, 1)[0]
+        inst = edit[0](inst) if edit else inst
+        path = tmp_path / f"{group}.json"
+        save_instance(inst, path)
+        for argv in argvs:
+            solved.add(argv[argv.index("--algorithm") + 1])
+            built_dists.clear()
+            assert main(["solve", str(path), *argv, "--machine"]) == 0
+            assert capsys.readouterr().out
+            assert len(built_dists) == 1, (argv, built_dists)
+            assert built_dists[0] == inst.target.weights
+    assert solved == set(ALGORITHMS)
