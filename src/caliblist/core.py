@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import Callable, Mapping
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "PositionWeights",
     "Instance",
     "DenseCore",
-    "FlatMasses",
     "Sequence",
     "ItemPositionSet",
     "OverlapMeasure",
@@ -155,6 +154,41 @@ class DenseCore:
     item_row: Mapping[str, int]
     row: Mapping[str, int]
 
+    @staticmethod
+    def blank(genres, n_items: int, mode: str) -> np.ndarray:
+        """``Q`` with zero item rows and, in discrete mode, a unit row per genre."""
+        Q = np.zeros((n_items + len(genres) * (mode == "discrete"), len(genres)))
+        np.fill_diagonal(Q[n_items:], 1.0)
+        return Q
+
+    @classmethod
+    def of(cls, inst: Instance) -> DenseCore:
+        """The dense core of the validated ``inst``: on the ``Q`` of a loaded
+        instance (:meth:`Instance.of_rows`), else its item dicts scattered."""
+        genres = tuple(sorted(inst.genres))
+        m, n_items = len(genres), len(inst.item_ids)
+        gidx = dict(zip(genres, range(m)))
+        if "_rows" in vars(inst):
+            Q = vars(inst)["_rows"][0]
+        else:
+            dists = [d.weights for _, d in inst.items]
+            Q = cls.blank(genres, n_items, inst.mode)
+            # all item masses in one scatter, at flat index row * m + column
+            flat = np.arange(n_items).repeat(list(map(len, dists))) * m
+            flat += np.fromiter(map(gidx.__getitem__, chain.from_iterable(dists)),
+                                int, len(flat))
+            np.put(Q, flat, np.fromiter(chain.from_iterable(map(dict.values, dists)),
+                                        float, len(flat)))
+        p = np.array([inst.target.get(g) for g in genres])
+        item_row = dict(zip(inst.item_ids, range(n_items)))
+        row = item_row
+        if inst.mode == "discrete":
+            row = {**item_row, **{g: n_items + n for g, n in gidx.items()}}
+        w = np.array(inst.weights.w)
+        for a in (p, Q, w):
+            a.setflags(write=False)
+        return cls(genres, p, Q, w, item_row, row)
+
     def mixture(self, rows: list[int], weights: np.ndarray) -> np.ndarray:
         """Sum of ``weights[r] * Q[rows[r]]``, added in the order given."""
         if not rows:
@@ -185,10 +219,10 @@ class Instance:
     mode items carry arbitrary genre mixtures and the universe is the
     item catalog.
 
-    A loaded instance (:meth:`of_masses`) keeps its item masses flat and
-    builds ``items`` from them on first access. Equality, ``repr``,
-    ``dataclasses.replace`` and the writers go through ``items``; the
-    solvers read only ``item_ids`` and ``dense``.
+    A loaded instance (:meth:`of_rows`) holds its item masses only in its
+    dense core's ``Q`` and builds ``items`` from them on first access, as
+    equality, ``repr``, ``dataclasses.replace`` and the writers read them;
+    the solvers and :func:`validate_instance` read ``item_ids`` and ``Q``.
     """
 
     genres: tuple[str, ...]
@@ -198,24 +232,47 @@ class Instance:
     mode: str = "distributional"
 
     @classmethod
-    def of_masses(cls, genres: tuple[str, ...], target: Subdistribution,
-                  ids: list[str], flat: FlatMasses, weights: PositionWeights,
-                  mode: str) -> Instance:
-        """The instance whose items ``ids`` have the masses ``flat``; its
-        ``items`` are built when first read."""
+    def of_rows(cls, genres: tuple[str, ...], target: Subdistribution, ids: list[str],
+                dists: list[dict], masses: np.ndarray, weights: PositionWeights,
+                mode: str) -> Instance | None:
+        """The instance whose items ``ids`` have the dicts ``dists``, with their
+        positive float ``masses`` end to end, if the items all write the same
+        keys or each its keys in sorted genre order, all declared; else None.
+        It holds the masses only in the rows of its core's ``Q``, in one slice
+        assignment or one scatter, and builds ``items`` when first read."""
+        gidx = {g: n for n, g in enumerate(sorted(genres))}
+        keys = list(dists[0]) if dists else []
+        if all(list(d) == keys for d in dists):
+            order = list(map(gidx.get, keys))
+            if None in order:
+                return None
+            Q = DenseCore.blank(genres, len(dists), mode)
+            Q[:len(dists), order] = masses.reshape(len(dists), len(keys))
+        else:
+            cols = np.fromiter(map(gidx.get, chain.from_iterable(dists), repeat(-1)),
+                               int, len(masses))
+            rows = np.arange(len(dists)).repeat(list(map(len, dists)))
+            if cols.min() < 0 or not (np.diff(cols)[rows[1:] == rows[:-1]] > 0).all():
+                return None
+            Q, order = DenseCore.blank(genres, len(dists), mode), range(len(gidx))
+            Q[rows, cols] = masses
         self = object.__new__(cls)
         vars(self).update(genres=genres, target=target, weights=weights, mode=mode,
-                          item_ids=tuple(ids), _masses=flat)
+                          item_ids=tuple(ids), _rows=(Q, order))
         return self
 
     def __getattr__(self, name: str):
         # reached only for an attribute not set: the items of a loaded instance
-        flat = vars(self).get("_masses") if name == "items" else None
-        if flat is None:
+        rows = vars(self).get("_rows") if name == "items" else None
+        if rows is None:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        items = vars(self)["items"] = flat.items(self.item_ids)
-        del vars(self)["_masses"]
+        (Q, order), genres = rows, sorted(self.genres)
+        keys = [genres[c] for c in order]
+        dists = ({g: v for g, v in zip(keys, row) if v}
+                 for row in Q[:len(self.item_ids), order].tolist())
+        items = vars(self)["items"] = tuple(
+            zip(self.item_ids, map(Subdistribution.from_positive, dists)))
         return items
 
     @property
@@ -229,144 +286,13 @@ class Instance:
     @cached_property
     def dense(self) -> DenseCore:
         """The dense core of a validated instance, built on first use and kept."""
-        return FlatMasses.of(self).core(self)
+        return DenseCore.of(self)
 
     def universe(self) -> tuple[str, ...]:
         """Sorted element universe: genres in discrete mode, items otherwise."""
         if self.mode == "discrete":
             return tuple(sorted(self.genres))
         return tuple(sorted(self.item_ids))
-
-
-@dataclass(frozen=True, eq=False)
-class FlatMasses:
-    """Every item mass of an instance, in catalog and key order.
-
-    ``sizes`` counts each item's masses. When every item writes the same keys
-    in the same order, as ``save_instance`` writes a catalog, ``masses`` is
-    one (items × keys) block and ``cols`` gives each key's column among the
-    sorted ``genres``. Otherwise ``masses`` lies end to end and ``cols`` gives
-    each mass's column. A column is -1 for a genre the instance does not
-    declare. These arrays give :func:`validate_instance` its per-item totals
-    and verdicts, the instance its :class:`DenseCore`, and a loaded instance
-    its items.
-    """
-
-    genres: tuple[str, ...]
-    sizes: np.ndarray
-    cols: np.ndarray
-    masses: np.ndarray
-
-    @classmethod
-    def of(cls, inst: Instance) -> FlatMasses:
-        """The masses of the item dicts of ``inst``."""
-        return cls.of_dists(inst.genres, [d.weights for _, d in inst.items])
-
-    @classmethod
-    def of_dists(cls, genres, dists: list, masses: np.ndarray | None = None) -> FlatMasses:
-        """The masses of the item dicts ``dists`` over the declared ``genres``;
-        ``masses`` gives their values end to end when known."""
-        genres = tuple(sorted(genres))
-        gidx = {g: n for n, g in enumerate(genres)}
-        sizes = np.fromiter(map(len, dists), int, len(dists))
-        total = int(sizes.sum())
-        if masses is None:
-            masses = np.fromiter(chain.from_iterable(map(dict.values, dists)),
-                                 float, total)
-        keys = list(dists[0]) if dists else []
-        if all(list(d) == keys for d in dists):
-            cols = np.fromiter(map(gidx.get, keys, repeat(-1)), int, len(keys))
-            return cls(genres, sizes, cols, masses.reshape(len(dists), len(keys)))
-        cols = np.fromiter(map(gidx.get, chain.from_iterable(dists), repeat(-1)),
-                           int, total)
-        return cls(genres, sizes, cols, masses)
-
-    @property
-    def block(self) -> bool:
-        """Whether every item writes the same keys: ``masses`` is 2-D."""
-        return self.masses.ndim == 2
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """The item row of each mass laid end to end."""
-        return np.arange(len(self.sizes)).repeat(self.sizes)
-
-    def sums(self) -> np.ndarray:
-        """Each item's :func:`ordered_sum` as a float: 0.0 for an empty item."""
-        sizes = self.sizes
-        if self.block:
-            # column adds over the genre-major transpose; 0 + v is v, so the
-            # first column starts the sums
-            M = self.masses
-            sums = M[:, 0].copy() if M.shape[1] else np.zeros(len(M))
-            for col in M.T[1:]:
-                sums += col
-            return sums
-        width = sizes.max(initial=0) + 1  # trailing zeros add nothing
-        if len(sizes) * width > 4 * (len(self.masses) + len(sizes)):
-            # a ragged catalog: padding every item to the widest would outgrow
-            # the masses, so add each item's masses in Python instead
-            ends, masses = np.cumsum(sizes).tolist(), self.masses.tolist()
-            return np.array([ordered_sum(masses[e - s:e])
-                             for s, e in zip(sizes.tolist(), ends)], float)
-        pad = np.zeros((len(sizes), width))
-        starts = (np.cumsum(sizes) - sizes).repeat(sizes)
-        pad[self.rows, np.arange(len(starts)) - starts] = self.masses
-        return np.add.accumulate(pad, axis=1)[:, -1]  # left to right
-
-    def totals(self) -> list:
-        """Each item's :func:`ordered_sum`: the int 0 for an empty item."""
-        totals = self.sums().tolist()
-        for r in np.flatnonzero(self.sizes == 0).tolist():
-            totals[r] = 0
-        return totals
-
-    def undeclared(self) -> list[bool]:
-        """Whether each item has a mass on an undeclared genre; [] if none has."""
-        bad = self.cols < 0
-        if not bad.any():
-            return []
-        if self.block:  # every item writes the undeclared key
-            return [True] * len(self.sizes)
-        return np.bincount(self.rows[bad], minlength=len(self.sizes)).astype(bool).tolist()
-
-    def core(self, inst: Instance) -> DenseCore:
-        """The dense core of ``inst``, whose masses these are."""
-        if self.cols.min(initial=0) < 0:
-            raise KeyError("an item has a mass on an undeclared genre")
-        genres, n_items = self.genres, len(self.sizes)
-        m = len(genres)
-        gidx = {g: n for n, g in enumerate(genres)}
-        p = np.zeros(m)
-        for g, v in inst.target.items():
-            p[gidx[g]] = v
-        unit = inst.mode == "discrete"
-        Q = np.zeros((n_items + (m if unit else 0), m))
-        if self.block:
-            Q[:n_items, self.cols] = self.masses
-        else:
-            np.put(Q, self.rows * m + self.cols, self.masses)
-        item_row = dict(zip(inst.item_ids, range(n_items)))
-        row = item_row
-        if unit:
-            Q[n_items:] = np.eye(m)
-            row = {**item_row, **{g: n_items + n for g, n in gidx.items()}}
-        w = np.array(inst.weights.w)
-        for a in (p, Q, w):
-            a.setflags(write=False)
-        return DenseCore(genres, p, Q, w, item_row, row)
-
-    def items(self, ids) -> tuple[tuple[str, Subdistribution], ...]:
-        """The items ``ids`` with these masses, each dict in its key order; all
-        masses positive and on declared genres."""
-        genre = self.genres.__getitem__
-        if self.block:
-            keys = list(map(genre, self.cols.tolist()))
-            dists = (dict(zip(keys, row)) for row in self.masses.tolist())
-        else:
-            pairs = zip(map(genre, self.cols.tolist()), self.masses.tolist())
-            dists = (dict(islice(pairs, s)) for s in self.sizes.tolist())
-        return tuple(zip(ids, map(Subdistribution.from_positive, dists)))
 
 
 @dataclass(frozen=True)
@@ -557,13 +483,14 @@ class CustomMeasure(OverlapMeasure):
 # ---------------------------------------------------------------------------
 
 
-def validate_instance(inst: Instance, flat: FlatMasses | None = None) -> Instance:
+def validate_instance(inst: Instance) -> Instance:
     """Check all structural invariants, returning the instance unchanged.
 
     Raises :class:`ValidationError` describing the first violation found:
     of the item checks, the first that fails, at the first item it flags.
-    ``flat``, the instance's item masses, gives the item totals and verdicts
-    as numpy masks, without a pass over the item dicts.
+    A loaded instance (:meth:`Instance.of_rows`) is checked with numpy masks
+    over its rows of ``Q``, each item's columns added left to right in key
+    order: ``ordered_sum``'s bits, as an unwritten key adds 0.0.
     """
     genre_set = set(inst.genres)
     if len(genre_set) != len(inst.genres):
@@ -574,7 +501,8 @@ def validate_instance(inst: Instance, flat: FlatMasses | None = None) -> Instanc
         raise ValidationError("target uses undeclared genres")
     ids = inst.item_ids
     discrete = inst.mode == "discrete"
-    if flat is None:
+    rows = vars(inst).get("_rows")
+    if rows is None:
         dists = [d.weights for _, d in inst.items]
         totals = [ordered_sum(d.values()) for d in dists]  # summed as total() does
         off = [abs(t - 1.0) > TOL for t in totals]
@@ -582,11 +510,16 @@ def validate_instance(inst: Instance, flat: FlatMasses | None = None) -> Instanc
         undeclared = ([] if genre_set.issuperset(chain.from_iterable(dists)) else
                       [not d.keys() <= genre_set for d in dists])
         spread = [len(d) != 1 for d in dists] if discrete else []
-    else:  # the same verdicts as masks
-        sums = flat.sums()
+    else:  # the same verdicts as masks; every mass is positive and declared
+        Q, order = rows
+        sums, sizes = np.zeros(len(ids)), np.zeros(len(ids), int)
+        for c in order:
+            sums += Q[:len(ids), c]
+            if discrete:
+                sizes += Q[:len(ids), c] > 0
         off, over = np.abs(sums - 1.0) > TOL, sums > 1 + TOL
-        undeclared = flat.undeclared()
-        spread = flat.sizes != 1 if discrete else []
+        undeclared = []
+        spread = sizes != 1 if discrete else []
     for fails, message in (  # in a scan's order; a cheaper test may skip a check
             (over, "mass {t} exceeds 1"),
             ([] if len(set(ids)) == len(ids) else
@@ -596,9 +529,9 @@ def validate_instance(inst: Instance, flat: FlatMasses | None = None) -> Instanc
             (spread, "item {i!r} is not a point mass in discrete mode")):
         if True in fails:
             n = list(fails).index(True)
-            if flat is not None:
-                totals = flat.totals()
-            raise ValidationError(message.format(i=ids[n], t=totals[n]))
+            # from the rows, an empty item's total is ordered_sum's int 0
+            t = totals[n] if rows is None else float(sums[n]) if Q[n].any() else 0
+            raise ValidationError(message.format(i=ids[n], t=t))
     if inst.mode not in ("distributional", "discrete"):
         raise ValidationError(f"unknown mode {inst.mode!r}")
     return inst

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    FlatMasses,
+    DenseCore,
     Instance,
     PositionWeights,
     Subdistribution,
@@ -70,11 +70,16 @@ def _all(values, kind: str, where: str) -> bool:
 def instance_from_dict(data: dict) -> Instance:
     """The checked instance of a JSON document; one type pass per kind of value.
 
-    When every item mass is a positive float, the instance keeps the masses
-    as flat arrays (:class:`FlatMasses`), which give the item checks and fill
-    its dense core; its ``items`` are built from them when first read. Any
-    other document wraps each dist as a ``Subdistribution``, which converts
-    ints, drops zeros and rejects negative masses, before the same checks.
+    When every mass is a positive float and the items all write the same keys,
+    or each writes its declared keys in sorted genre order (as ``save_instance``
+    writes them), the masses go straight into the rows of the dense core's
+    ``Q`` in one slice assignment or one scatter, and the instance keeps only
+    ``Q`` and its keys' column order (:meth:`Instance.of_rows`). Any other
+    document (an undeclared key, keys in no shared order, an int, zero or
+    negative mass) wraps each dist as a ``Subdistribution``, which converts
+    ints, drops zeros and rejects negative masses, and is checked over its
+    dicts; its core is scattered from them when first used. Every route gives
+    the same checks, messages and outcome.
     """
     data = _typed(data, "an object", "instance")
     unknown = set(data) - _FIELDS
@@ -100,9 +105,10 @@ def instance_from_dict(data: dict) -> Instance:
     dists = [e["dist"] for e in entries]
     _all(dists, "an object", "dist")
     masses = list(chain.from_iterable(d.values() for d in dists))
-    values = (np.fromiter(masses, float, len(masses))
+    # rebound to an array: the list of every mass is not kept through the checks
+    masses = (np.fromiter(masses, float, len(masses))
               if _all(masses, "a number", "dist") else None)
-    clean = values is not None and bool((values > 0).all())
+    clean = masses is not None and bool((masses > 0).all())
     subs = None if clean else list(map(Subdistribution, dists))
     ids = [e["id"] for e in entries]
     _all(ids, "a string", "item id")
@@ -113,14 +119,13 @@ def instance_from_dict(data: dict) -> Instance:
     target = Subdistribution(target)
     mode = _typed(data["mode"], "a string", "mode")
     if clean:
-        flat = FlatMasses.of_dists(genres, dists, values)
-        inst = Instance.of_masses(genres, target, ids, flat, weights, mode)
-    else:
-        inst = Instance(genres, target, tuple(zip(ids, subs)), weights, mode)
-        flat = FlatMasses.of(inst)
-    validate_instance(inst, flat)
-    vars(inst)["dense"] = flat.core(inst)  # fills the cached property
-    return inst
+        inst = Instance.of_rows(genres, target, ids, dists, masses, weights, mode)
+        if inst is not None:
+            validate_instance(inst)
+            vars(inst)["dense"] = DenseCore.of(inst)  # fills the cached property
+            return inst
+        subs = [Subdistribution.from_positive(dict(d)) for d in dists]
+    return validate_instance(Instance(genres, target, tuple(zip(ids, subs)), weights, mode))
 
 
 @cache

@@ -1,11 +1,11 @@
 """The dense core of a loaded instance against one built from its dicts.
 
-``instance_from_dict`` may fill ``Instance.dense`` from the document's masses
-laid end to end. That core must equal the one ``Instance.dense`` builds lazily
-from the same instance's dicts, bit for bit, with its columns in sorted genre
-order whatever order a document declares genres or writes keys in. An error
-that quotes an item's total quotes ``ordered_sum`` of its masses in document
-order: the int 0 for an empty dist.
+``instance_from_dict`` may write a document's masses straight into the rows
+of ``Instance.dense.Q``. That core must equal the one ``Instance.dense``
+builds lazily from the same instance's dicts, bit for bit, with its columns
+in sorted genre order whatever order a document declares genres or writes
+keys in. An error that quotes an item's total quotes ``ordered_sum`` of its
+masses in document order: the int 0 for an empty dist.
 """
 
 import copy
@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caliblist.core import (
-    FlatMasses,
     Instance,
     PositionWeights,
     Subdistribution,
@@ -147,24 +146,47 @@ def built(doc):
     return validate_instance(unchecked(doc))
 
 
-def assert_ordered_totals(inst):
-    """The flat totals are ``ordered_sum``'s, bits and type: the int 0 if empty."""
-    want = [ordered_sum(d.weights.values()) for _, d in inst.items]
-    assert repr(FlatMasses.of(inst).totals()) == repr(want)
+def _error(make, doc):
+    try:
+        make(doc)
+    except ValidationError as exc:
+        return str(exc)
+    return None
 
 
-def test_padded_and_ragged_totals_are_ordered_sums():
-    """Totals taken over padded rows, and item by item in a ragged catalog
-    (one wide item among point masses), are ``ordered_sum``'s bits."""
-    genres = tuple(f"g{n}" for n in range(40))
+def _catalog_documents():
+    """Documents of a 40-genre wide item and an empty item, of the same with
+    30 point masses, and of three empty items, each with sorted and with
+    shuffled keys, and the message each gives, ``{t}`` standing for the first
+    item's total. The wide item is scaled so that it passes (the empty item
+    fails), falls short of 1 or exceeds it."""
+    genres = [f"g{n:02}" for n in range(40)]
     raw = np.random.default_rng(5).random(40)
-    wide = Subdistribution(dict(zip(genres, (raw / raw.sum()).tolist())))
-    point = Subdistribution({"g7": 1.0})
-    for items in ([wide, wide, Subdistribution({})],
-                  [wide, Subdistribution({})] + [point] * 30):
-        inst = Instance(genres, point, tuple((f"i{n}", d) for n, d in enumerate(items)),
-                        PositionWeights((1.0,)), "distributional")
-        assert_ordered_totals(inst)
+    rng = np.random.default_rng(6)
+    for scale, message in ((1.0, "item 'i1' mass 0 != 1"),
+                           (0.9, "item 'i0' mass {t} != 1"),
+                           (1.1, "mass {t} exceeds 1")):
+        wide = dict(zip(genres, (raw / raw.sum() * scale).tolist()))
+        for dists in ([wide, {}], [wide, {}] + [{"g07": 1.0}] * 30, [{}] * 3):
+            for shuffle in (False, True):
+                items = [{"id": f"i{n}", "dist": d} for n, d in enumerate(dists)]
+                if shuffle:
+                    for e in items:
+                        keys = rng.permutation(list(e["dist"])).tolist()
+                        e["dist"] = {g: e["dist"][g] for g in keys}
+                yield ({"genres": genres, "target": {"g07": 1.0}, "items": items,
+                        "weights": [1.0], "mode": "distributional"},
+                       message if dists[0] else "item 'i0' mass 0 != 1")
+
+
+def test_wide_ragged_and_empty_items_quote_ordered_sums():
+    """Whether a catalog's masses go through ``Q``'s rows (sorted keys) or its
+    dicts (shuffled keys), the quoted total is ``ordered_sum``'s, in bits and
+    type: the int 0 for an empty item."""
+    for doc, message in _catalog_documents():
+        want = message.format(t=ordered_sum(doc["items"][0]["dist"].values()))
+        assert _error(lambda d: instance_from_dict(copy.deepcopy(d)), doc) == want
+        assert _error(built, doc) == want
 
 
 @given(documents())
@@ -173,20 +195,11 @@ def test_loaded_documents_have_the_lazy_core(doc):
     inst = instance_from_dict(copy.deepcopy(doc))
     assert inst == built(doc)
     assert_lazy_core(inst)
-    assert_ordered_totals(inst)
 
 
 # ---------------------------------------------------------------------------
 # Broken items: the first failing check, at the first item it flags
 # ---------------------------------------------------------------------------
-
-
-def _error(make, doc):
-    try:
-        make(doc)
-    except ValidationError as exc:
-        return str(exc)
-    return None
 
 
 def _total(dist):
@@ -220,10 +233,6 @@ def test_item_errors_quote_the_ordered_total(doc, data):
             items[n]["dist"] = {g: 0.5, h: 0.5}
     got = _error(lambda doc: instance_from_dict(copy.deepcopy(doc)), doc)
     assert got == _error(built, doc)
-    try:
-        assert_ordered_totals(unchecked(doc))
-    except ValidationError:  # Subdistribution refuses a total past 1
-        pass
     if got is not None and got.endswith(("exceeds 1", "!= 1")):
         quoted = {f"mass {_total(e['dist'])} exceeds 1" for e in items}
         quoted |= {f"item {e['id']!r} mass {_total(e['dist'])} != 1" for e in items}
