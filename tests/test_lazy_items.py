@@ -1,12 +1,13 @@
 """The items of a loaded instance against those of an eagerly built one.
 
 A loaded instance may keep its item masses only in the rows of its dense
-core's ``Q`` and build ``Instance.items`` from them on first access. Whatever it keeps, its items
-must be those of the instance built from the same document with one
-``Subdistribution`` per item: the same ids, the same dict key order, the same
-float bits. Equality, ``dataclasses.replace``, ``instance_to_dict`` and the
-file ``save_instance`` writes go through the items, so they must agree too.
-Each check starts from a fresh load, so it is the first to touch the items.
+core's ``Q`` and build ``Instance.items`` from them on first access. Whatever
+it keeps, its items must be those of the instance built from the same
+document with one ``Subdistribution`` per item: the same ids, the same dict
+key order, the same float bits. Equality, ``dataclasses.replace``,
+``instance_to_dict`` and the file ``save_instance`` writes go through the
+items, so they must agree too. Each check starts from a fresh load, so it is
+the first to touch the items.
 """
 
 import copy
@@ -15,7 +16,6 @@ import random
 from dataclasses import replace
 
 import numpy as np
-
 from hypothesis import given, settings
 
 from caliblist.cli import main
@@ -77,10 +77,13 @@ def layouts():
     def shuffled(d):
         return {g: d[g] for g in rng.sample(list(d), len(d))}
 
+    def reversed_keys(d):
+        return {g: d[g] for g in genres[::-1]}
+
     points = instance_to_dict(generate_instances(GenParams(max_k=4), "discrete", 22, 1)[0])
     return {"same keys": same,
             "partial supports": with_dists(same, partial),
-            "unsorted same keys": with_dists(same, lambda d: {g: d[g] for g in genres[::-1]}),
+            "unsorted same keys": with_dists(same, reversed_keys),
             "point masses": points,
             "shuffled keys": with_dists(same, shuffled),
             "ints and zeros": with_dists(points, lambda d: {"zz": 0, **{g: 1 for g in d}})}

@@ -156,35 +156,39 @@ def _error(make, doc):
 
 def _catalog_documents():
     """Documents of a 40-genre wide item and an empty item, of the same with
-    30 point masses, and of three empty items, each with sorted and with
-    shuffled keys, and the message each gives, ``{t}`` standing for the first
-    item's total. The wide item is scaled so that it passes (the empty item
-    fails), falls short of 1 or exceeds it."""
+    30 point masses, of three empty items and of two wide items, each with
+    sorted keys and with one shared unsorted key order, and the message each
+    gives (None if valid), ``{t}`` standing for the first item's total. The
+    wide item is scaled so that it passes, falls short of 1 or exceeds it."""
     genres = [f"g{n:02}" for n in range(40)]
     raw = np.random.default_rng(5).random(40)
-    rng = np.random.default_rng(6)
-    for scale, message in ((1.0, "item 'i1' mass 0 != 1"),
-                           (0.9, "item 'i0' mass {t} != 1"),
-                           (1.1, "mass {t} exceeds 1")):
+    shared = np.random.default_rng(6).permutation(genres).tolist()
+    for scale, fault in ((1.0, None), (0.9, "item 'i0' mass {t} != 1"),
+                         (1.1, "mass {t} exceeds 1")):
         wide = dict(zip(genres, (raw / raw.sum() * scale).tolist()))
-        for dists in ([wide, {}], [wide, {}] + [{"g07": 1.0}] * 30, [{}] * 3):
-            for shuffle in (False, True):
-                items = [{"id": f"i{n}", "dist": d} for n, d in enumerate(dists)]
-                if shuffle:
-                    for e in items:
-                        keys = rng.permutation(list(e["dist"])).tolist()
-                        e["dist"] = {g: e["dist"][g] for g in keys}
+        for dists in ([wide, {}], [wide, {}] + [{"g07": 1.0}] * 30, [{}] * 3,
+                      [wide, wide]):
+            if not dists[0]:
+                message = "item 'i0' mass 0 != 1"
+            elif fault or dists[1]:
+                message = fault
+            else:
+                message = "item 'i1' mass 0 != 1"
+            for order in (genres, shared):
+                items = [{"id": f"i{n}", "dist": {g: d[g] for g in order if g in d}}
+                         for n, d in enumerate(dists)]
                 yield ({"genres": genres, "target": {"g07": 1.0}, "items": items,
-                        "weights": [1.0], "mode": "distributional"},
-                       message if dists[0] else "item 'i0' mass 0 != 1")
+                        "weights": [1.0], "mode": "distributional"}, message)
 
 
 def test_wide_ragged_and_empty_items_quote_ordered_sums():
-    """Whether a catalog's masses go through ``Q``'s rows (sorted keys) or its
-    dicts (shuffled keys), the quoted total is ``ordered_sum``'s, in bits and
-    type: the int 0 for an empty item."""
+    """Whether a catalog's masses go through ``Q``'s rows (sorted keys, or
+    one key order that every item shares) or its dicts (an unsorted wide item
+    among others), a quoted total is ``ordered_sum``'s of the masses in key
+    order, in bits and type: the int 0 for an empty item."""
     for doc, message in _catalog_documents():
-        want = message.format(t=ordered_sum(doc["items"][0]["dist"].values()))
+        total = ordered_sum(doc["items"][0]["dist"].values())
+        want = message and message.format(t=total)
         assert _error(lambda d: instance_from_dict(copy.deepcopy(d)), doc) == want
         assert _error(built, doc) == want
 
