@@ -31,8 +31,7 @@ from .matroid import (
     continuous_greedy,
     pipage_round,
     set_to_sequence,
-    solve_distributional,
-    solve_with_repeats,
+    solve_continuous,
 )
 from .oracle import (
     check_mdr,

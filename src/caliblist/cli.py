@@ -30,8 +30,6 @@ from .core import (
 )
 from .io import load_instance
 
-DEFAULT_SEED = 42
-
 
 def parse_measure(spec: str) -> OverlapMeasure:
     if spec == "hellinger":
@@ -101,15 +99,13 @@ def _solve_one(inst, args, G) -> tuple[Sequence, float, list[float]]:
             inst, measure=G,
             allow_repeats=args.allow_repeats or None)
         return seq, val, []
-    if algo == "continuous":
-        if args.allow_repeats:  # its laminar matroid holds each item once
-            raise ValidationError("continuous does not take --allow-repeats; "
-                                  "use --algorithm continuous-repeats")
-        seq, val = matroid_mod.solve_distributional(
-            inst, G, steps=args.steps, samples=args.samples, seed=args.seed)
-        return seq, val, []
-    seq, val = matroid_mod.solve_with_repeats(  # continuous-repeats
-        inst, G, steps=args.steps, samples=args.samples, seed=args.seed)
+    # continuous's laminar matroid holds each item once
+    if algo == "continuous" and args.allow_repeats:
+        raise ValidationError("continuous does not take --allow-repeats; "
+                              "use --algorithm continuous-repeats")
+    seq, val = matroid_mod.solve_continuous(
+        inst, G, allow_repeats=algo == "continuous-repeats",
+        steps=args.steps, samples=args.samples, seed=args.seed)
     return seq, val, []
 
 
@@ -265,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k-override", type=int, default=None)
     solve.add_argument("--allow-repeats", action="store_true")
     solve.add_argument("--best-length", action="store_true")
-    solve.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    solve.add_argument("--seed", type=int, default=42)
     solve.add_argument("--steps", type=int, default=100)
     solve.add_argument("--samples", type=int, default=200)
     solve.add_argument("--machine", action="store_true")
@@ -278,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--measure", default="hellinger")
     verify.add_argument("--algorithm", default="discrete-greedy")
     verify.add_argument("--n", type=int, default=200)
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--steps", type=int, default=40)
     verify.add_argument("--samples", type=int, default=40)
     verify.add_argument("--out", default=None,

@@ -142,7 +142,7 @@ class DenseCore:
     ``p`` is the target over the sorted ``genres``. Each row of ``Q`` is the
     genre distribution of one item, in catalog order, followed in discrete
     mode by a unit row per sorted genre. ``item_row`` maps item ids to their
-    rows; ``row`` maps list elements (genre ids first in discrete mode).
+    rows; ``row`` maps list elements: item ids and, in discrete mode, genre ids.
     ``w`` holds the position weights. Every objective is ``G`` between ``p``
     and a mixture over all of ``genres``.
     """
@@ -526,7 +526,10 @@ def validate_instance(inst: Instance) -> Instance:
              [ids.index(i) != n for n, i in enumerate(ids)], "duplicate item id {i!r}"),
             (undeclared, "item {i!r} uses undeclared genres"),
             (off, "item {i!r} mass {t} != 1"),
-            (spread, "item {i!r} is not a point mass in discrete mode")):
+            (spread, "item {i!r} is not a point mass in discrete mode"),
+            # a list element that is a genre id reads the genre's unit row
+            ([i in genre_set for i in ids] if discrete else [],
+             "item id {i!r} is also a genre id in discrete mode")):
         if True in fails:
             n = list(fails).index(True)
             # from the rows, an empty item's total is ordered_sum's int 0

@@ -37,8 +37,7 @@ __all__ = [
     "continuous_greedy",
     "pipage_round",
     "set_to_sequence",
-    "solve_distributional",
-    "solve_with_repeats",
+    "solve_continuous",
     "fg_function",
     "hatfg_function",
     "PairFunction",
@@ -154,13 +153,8 @@ def _mean_gains_by_call(F: SetFunction, ground: list[Pair], S: np.ndarray) -> np
     return np.array(gains) / len(S)
 
 
-def continuous_greedy(
-    F: SetFunction,
-    m: Matroid,
-    steps: int = 100,
-    samples: int = 200,
-    seed: int = 42,
-) -> FractionalPoint:
+def continuous_greedy(F: SetFunction, m: Matroid, steps: int, samples: int,
+                      seed: int) -> FractionalPoint:
     """Fractional ascent: T steps of size 1/T toward the best-response basis.
 
     Per-pair marginal weights are sampled at the current point; the result
@@ -359,45 +353,30 @@ def hatfg_function(G: OverlapMeasure, inst: Instance) -> PairFunction:
     return PairFunction(G, inst.dense, first_only=False)
 
 
-def solve_distributional(
-    inst: Instance,
-    G: OverlapMeasure,
-    steps: int = 100,
-    samples: int = 200,
-    seed: int = 42,
-) -> tuple[Sequence, float]:
-    """Continuous greedy + rounding on the laminar matroid, then sequencing.
+def solve_continuous(inst: Instance, G: OverlapMeasure, *, allow_repeats: bool,
+                     steps: int, samples: int, seed: int) -> tuple[Sequence, float]:
+    """Continuous greedy + rounding, then a list.
 
-    (1 - 1/e)-approximate in expectation for SMDR measures; the returned
-    list has no repeated items.
+    With repeats: hatfg on the partition matroid, one item per position,
+    the smallest item id where rounding left a position empty. Without:
+    fg on the laminar matroid, ordered by :func:`set_to_sequence`, which
+    is (1 - 1/e)-approximate in expectation for SMDR measures.
     """
-    if inst.mode != "distributional":
-        raise ValidationError("solve_distributional requires distributional mode")
-    if len(inst.item_ids) < inst.k:
-        raise ValidationError("need at least k items for a repeat-free list")
-    m = LaminarMatroid(inst.item_ids, inst.k)
-    F = fg_function(G, inst)
-    x = continuous_greedy(F, m, steps=steps, samples=samples, seed=seed)
-    R = pipage_round(m, x, F, seed=seed + 1)
-    seq = set_to_sequence(R, inst, G)
-    return seq, seq_objective(G, seq, inst)
-
-
-def solve_with_repeats(
-    inst: Instance,
-    G: OverlapMeasure,
-    steps: int = 100,
-    samples: int = 200,
-    seed: int = 42,
-) -> tuple[Sequence, float]:
-    """Continuous greedy + rounding on the partition matroid (repeats allowed)."""
-    if not inst.item_ids:
+    if allow_repeats and not inst.item_ids:
         raise ValidationError("need at least one item to fill the list")
-    m = PartitionMatroid(inst.item_ids, inst.k)
-    F = hatfg_function(G, inst)
-    x = continuous_greedy(F, m, steps=steps, samples=samples, seed=seed)
+    if not allow_repeats and inst.mode != "distributional":
+        raise ValidationError(
+            "a repeat-free continuous solve requires distributional mode")
+    if not allow_repeats and len(inst.item_ids) < inst.k:
+        raise ValidationError("need at least k items for a repeat-free list")
+    m = (PartitionMatroid if allow_repeats else LaminarMatroid)(inst.item_ids, inst.k)
+    F = PairFunction(G, inst.dense, first_only=not allow_repeats)
+    x = continuous_greedy(F, m, steps, samples, seed)
     R = pipage_round(m, x, F, seed=seed + 1)
-    by_pos = {j: i for i, j in R}
-    filler = sorted(inst.item_ids)[0]
-    seq = Sequence(tuple(by_pos.get(j, filler) for j in range(1, inst.k + 1)))
+    if allow_repeats:
+        by_pos = {j: i for i, j in R}
+        filler = min(inst.item_ids)
+        seq = Sequence(tuple(by_pos.get(j, filler) for j in range(1, inst.k + 1)))
+    else:
+        seq = set_to_sequence(R, inst, G)
     return seq, seq_objective(G, seq, inst)

@@ -31,7 +31,7 @@ from caliblist.greedy import (
     greedy_sequence,
     sequence_objective_fn,
 )
-from caliblist.matroid import LaminarMatroid, set_to_sequence, solve_distributional
+from caliblist.matroid import LaminarMatroid, set_to_sequence, solve_continuous
 from caliblist.oracle import (
     check_mdr,
     check_ordered_submodular,
@@ -171,8 +171,8 @@ def test_criterion_5_continuous_pipeline_one_minus_1_over_e():
         _, opt = exhaustive_opt(inst, measure=G)
         ratios = []
         for s in range(5):
-            _, val = solve_distributional(inst, G, steps=100, samples=200,
-                                          seed=100 + s)
+            _, val = solve_continuous(inst, G, allow_repeats=False, steps=100,
+                                      samples=200, seed=100 + s)
             ratios.append(val / opt if opt > 0 else 1.0)
         med = statistics.median(ratios)
         worst_median = min(worst_median, med)

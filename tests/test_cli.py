@@ -195,6 +195,36 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "continuous-repeats" in err
 
+    def test_continuous_needs_a_distributional_file(self, discrete_file, capsys):
+        assert main(["solve", discrete_file, "--algorithm", "continuous",
+                     "--steps", "2", "--samples", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: a repeat-free continuous solve requires distributional mode\n")
+
+    @pytest.mark.parametrize("algorithm", ["continuous", "continuous-repeats"])
+    @pytest.mark.parametrize("flags", [["--steps", "0", "--samples", "2"],
+                                       ["--steps", "2", "--samples", "0"]])
+    def test_zero_steps_or_samples_rejected(self, instance_file, capsys,
+                                            algorithm, flags):
+        assert main(["solve", instance_file, "--algorithm", algorithm, *flags]) == 1
+        assert capsys.readouterr().err == "error: steps and samples must be >= 1\n"
+
+    @pytest.mark.parametrize("mass", [1.0, 1])  # a file's Q rows, then its dicts
+    @pytest.mark.parametrize("algorithm", ["greedy", "continuous-repeats"])
+    def test_item_id_that_is_a_genre_id_rejected_in_discrete_mode(
+            self, tmp_path, capsys, mass, algorithm):
+        # the list element 'a' would read genre a's unit row, not item a's
+        path = tmp_path / "shadow.json"
+        path.write_text(json.dumps({
+            "genres": ["a", "b"], "target": {"a": 0.5, "b": 0.5},
+            "weights": [0.6, 0.4], "mode": "discrete",
+            "items": [{"id": "x", "dist": {"a": 1.0}},
+                      {"id": "a", "dist": {"b": mass}}]}))
+        assert main(["solve", str(path), "--algorithm", algorithm,
+                     "--steps", "2", "--samples", "2", "--machine"]) == 1
+        assert capsys.readouterr().err == (
+            "error: item id 'a' is also a genre id in discrete mode\n")
+
     def test_discrete_greedy_needs_a_discrete_file(self, instance_file, capsys):
         assert main(["solve", instance_file, "--algorithm", "discrete-greedy"]) == 1
         err = capsys.readouterr().err

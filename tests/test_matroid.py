@@ -31,8 +31,7 @@ from caliblist.matroid import (
     max_weight_basis,
     pipage_round,
     set_to_sequence,
-    solve_distributional,
-    solve_with_repeats,
+    solve_continuous,
 )
 from caliblist.oracle import exhaustive_opt
 from caliblist.repro import GenParams, generate_instances
@@ -386,22 +385,24 @@ class TestSetFunctionClosures:
 
 
 class TestEndToEndSolvers:
-    def test_solve_distributional_returns_valid_list(self):
+    def test_solve_continuous_returns_repeat_free_list(self):
         inst = make_instance()
         G = HellingerSquared()
-        seq, val = solve_distributional(inst, G, steps=15, samples=15, seed=1)
+        seq, val = solve_continuous(inst, G, allow_repeats=False,
+                                    steps=15, samples=15, seed=1)
         assert len(seq) == inst.k
         assert len(set(seq.entries)) == inst.k
         assert val == pytest.approx(seq_objective(G, seq, inst), abs=1e-12)
 
-    def test_solve_distributional_near_optimal_on_small_instance(self):
+    def test_solve_continuous_near_optimal_on_small_instance(self):
         inst = make_instance()
         G = HellingerSquared()
         _, opt = exhaustive_opt(inst, measure=G)
-        _, val = solve_distributional(inst, G, steps=25, samples=25, seed=2)
+        _, val = solve_continuous(inst, G, allow_repeats=False,
+                                  steps=25, samples=25, seed=2)
         assert val >= (1 - 1 / math.e - 0.02) * opt
 
-    def test_solve_distributional_requires_enough_items(self):
+    def test_solve_continuous_requires_enough_items(self):
         insts = generate_instances(GenParams(min_items=2, max_items=2,
                                              min_k=3, max_k=3),
                                    "distributional", seed=31, n=1)
@@ -412,18 +413,22 @@ class TestEndToEndSolvers:
             genres=inst.genres, target=inst.target, items=inst.items[:2],
             weights=inst.weights, mode=inst.mode)
         with pytest.raises(ValidationError):
-            solve_distributional(small, HellingerSquared())
+            solve_continuous(small, HellingerSquared(), allow_repeats=False,
+                             steps=100, samples=200, seed=42)
 
-    def test_solve_with_repeats_returns_full_list(self):
+    def test_solve_continuous_with_repeats_returns_full_list(self):
         inst = make_instance()
         G = HellingerSquared()
-        seq, val = solve_with_repeats(inst, G, steps=15, samples=15, seed=3)
+        seq, val = solve_continuous(inst, G, allow_repeats=True,
+                                    steps=15, samples=15, seed=3)
         assert len(seq) == inst.k
         assert val == pytest.approx(seq_objective(G, seq, inst), abs=1e-12)
 
     def test_solvers_deterministic_for_fixed_seed(self):
         inst = make_instance()
         G = HellingerSquared()
-        a = solve_distributional(inst, G, steps=10, samples=10, seed=4)
-        b = solve_distributional(inst, G, steps=10, samples=10, seed=4)
+        a = solve_continuous(inst, G, allow_repeats=False,
+                             steps=10, samples=10, seed=4)
+        b = solve_continuous(inst, G, allow_repeats=False,
+                             steps=10, samples=10, seed=4)
         assert a == b
