@@ -201,18 +201,15 @@ class TestSolve:
         assert capsys.readouterr().err == (
             "error: a repeat-free continuous solve requires distributional mode\n")
 
-    @pytest.mark.parametrize("algorithm", ["continuous", "continuous-repeats"])
     @pytest.mark.parametrize("flags", [["--steps", "0", "--samples", "2"],
                                        ["--steps", "2", "--samples", "0"]])
-    def test_zero_steps_or_samples_rejected(self, instance_file, capsys,
-                                            algorithm, flags):
-        assert main(["solve", instance_file, "--algorithm", algorithm, *flags]) == 1
+    def test_zero_steps_or_samples_rejected(self, instance_file, capsys, flags):
+        assert main(["solve", instance_file, "--algorithm", "continuous", *flags]) == 1
         assert capsys.readouterr().err == "error: steps and samples must be >= 1\n"
 
     @pytest.mark.parametrize("mass", [1.0, 1])  # a file's Q rows, then its dicts
-    @pytest.mark.parametrize("algorithm", ["greedy", "continuous-repeats"])
     def test_item_id_that_is_a_genre_id_rejected_in_discrete_mode(
-            self, tmp_path, capsys, mass, algorithm):
+            self, tmp_path, capsys, mass):
         # the list element 'a' would read genre a's unit row, not item a's
         path = tmp_path / "shadow.json"
         path.write_text(json.dumps({
@@ -220,7 +217,7 @@ class TestSolve:
             "weights": [0.6, 0.4], "mode": "discrete",
             "items": [{"id": "x", "dist": {"a": 1.0}},
                       {"id": "a", "dist": {"b": mass}}]}))
-        assert main(["solve", str(path), "--algorithm", algorithm,
+        assert main(["solve", str(path), "--algorithm", "continuous-repeats",
                      "--steps", "2", "--samples", "2", "--machine"]) == 1
         assert capsys.readouterr().err == (
             "error: item id 'a' is also a genre id in discrete mode\n")
