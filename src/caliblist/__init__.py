@@ -41,6 +41,6 @@ from .oracle import (
     exhaustive_opt,
     ratio_report,
 )
-from .repro import GenParams, generate_instances
+from .repro import GenParams, generate_instances, instance_stream
 
 __version__ = "0.1.0"

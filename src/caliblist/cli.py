@@ -8,6 +8,7 @@ success, 1 parse/validation error, 2 check failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -219,10 +220,10 @@ def _verify_ratios(args) -> dict:
     if args.algorithm not in _RATIO_SUITES:
         raise ValidationError(f"unknown algorithm {args.algorithm!r}")
     params, mode, threshold, stat = _RATIO_SUITES[args.algorithm]
+    instances = repro_mod.instance_stream(params, mode, args.seed)
     report = oracle_mod.ratio_report(
         lambda inst: _solve_one(inst, args, G)[:2], G,
-        lambda seed, n: repro_mod.generate_instances(params, mode, seed, n),
-        n=args.n, seed=args.seed)
+        itertools.islice(instances, args.n))
     result = asdict(report)
     result["passed"] = result[stat] >= threshold
     result["threshold"] = threshold

@@ -196,14 +196,15 @@ class DenseCore:
         # accumulate adds strictly in order, whatever the array shape
         return np.add.accumulate(weights[:, None] * self.Q.take(rows, 0), axis=0)[-1]
 
-    def pairs_value(self, G: "OverlapMeasure", pairs) -> float:
-        """G on the raw mixture of (item, position) pairs.
-
-        The mass may exceed 1 (several items can share an early position).
-        Pairs are added in (position, item) order, whatever order ``pairs``
-        iterates in (a frozenset's varies with the hash seed), so the pairs
-        of a list add up as :meth:`mixture` adds the list.
+    def pairs_value(self, G: "OverlapMeasure", pairs, first_only: bool) -> float:
+        """G on the mixture of (item, position) pairs: fg with ``first_only``
+        (each item at its earliest position only), else hatfg (every pair;
+        the mass may exceed 1). Pairs are added in (position, item) order,
+        whatever order ``pairs`` iterates in (a frozenset's varies with the
+        hash seed), so the pairs of a list add up as :meth:`mixture` adds it.
         """
+        if first_only:
+            pairs = earliest(pairs).items()
         pairs = sorted(pairs, key=lambda e: (e[1], e[0]))
         q = self.mixture([self.item_row[i] for i, _ in pairs],
                          self.w[[j - 1 for _, j in pairs]])
@@ -565,13 +566,13 @@ def seq_objective(G: OverlapMeasure, seq: Sequence, inst: Instance) -> float:
 def fg_set(G: OverlapMeasure, R: ItemPositionSet, inst: Instance) -> float:
     """Set extension where each item contributes at its earliest position only."""
     _check_pairs(R, inst)
-    return inst.dense.pairs_value(G, earliest(R).items())
+    return inst.dense.pairs_value(G, R, first_only=True)
 
 
 def hatfg_set(G: OverlapMeasure, R: ItemPositionSet, inst: Instance) -> float:
     """Set extension where every (item, position) occurrence contributes."""
     _check_pairs(R, inst)
-    return inst.dense.pairs_value(G, R)
+    return inst.dense.pairs_value(G, R, first_only=False)
 
 
 def _check_pairs(R: ItemPositionSet, inst: Instance) -> None:

@@ -269,20 +269,15 @@ _CHUNK_BYTES = 16 << 20
 
 @dataclass(frozen=True, eq=False)
 class PairFunction:
-    """fg or hatfg of one instance and measure, called on a set of pairs.
-
-    With ``first_only`` (fg) each item counts at its earliest position only;
-    otherwise (hatfg) every (item, position) pair contributes.
-    """
+    """fg or hatfg (:meth:`DenseCore.pairs_value`) of one instance and
+    measure, called on a set of pairs."""
 
     G: OverlapMeasure
     core: DenseCore
     first_only: bool
 
     def __call__(self, pairs) -> float:
-        if self.first_only:
-            pairs = earliest(pairs).items()
-        return self.core.pairs_value(self.G, pairs)
+        return self.core.pairs_value(self.G, pairs, self.first_only)
 
     def mean_gains(self, m: Matroid) -> Callable[[np.ndarray], np.ndarray]:
         """The function of ``S`` that gives, per pair e of ``m.ground_set()``,

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .core import (
     seq_objective,
 )
 from .matroid import LaminarMatroid, max_weight_basis, set_to_sequence
-from .repro import GenParams, generate_instances
+from .repro import GenParams, instance_stream
 
 __all__ = [
     "SEARCH_LIMIT",
@@ -216,9 +216,6 @@ class CheckResult:
     violations: int = 0
     counterexample: dict | None = None
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def _tally(trials: int, probes) -> CheckResult:
     """Count the counterexamples among ``probes``, keeping only the first.
@@ -271,9 +268,6 @@ class MdrResult:
     def passed(self) -> bool:
         return self.mdr.passed and self.smdr.passed
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def _random_nested_sets(rng: np.random.Generator, ground: list) -> tuple[set, set, tuple]:
     """R ⊆ T and an element e ∉ T, drawn uniformly at random."""
@@ -288,7 +282,7 @@ def _random_nested_sets(rng: np.random.Generator, ground: list) -> tuple[set, se
     return R, T, e
 
 
-def check_mdr(G: OverlapMeasure, trials: int = 1000, seed: int = 42) -> MdrResult:
+def check_mdr(G: OverlapMeasure, trials: int, seed: int) -> MdrResult:
     """Probe monotonicity and submodularity of the set extension of G.
 
     The MDR half draws distributional instances with up to 4 genres, 5
@@ -297,8 +291,8 @@ def check_mdr(G: OverlapMeasure, trials: int = 1000, seed: int = 42) -> MdrResul
     one generator, the MDR half drawing first.
     """
     rng = np.random.default_rng(seed)
-    insts = generate_instances(GenParams(max_genres=4, max_items=5, max_k=4),
-                               "distributional", seed=seed + 1, n=trials)
+    params = GenParams(max_genres=4, max_items=5, max_k=4)
+    insts = instance_stream(params, "distributional", seed + 1)
 
     def mdr_probe(inst):
         ground = [(i, j) for i in inst.item_ids for j in range(1, inst.k + 1)]
@@ -326,7 +320,8 @@ def check_mdr(G: OverlapMeasure, trials: int = 1000, seed: int = 42) -> MdrResul
                     "q": dict(zip(genres, q.tolist())),
                     "genre": genres[g], "before": lo, "after": hi}
 
-    mdr = _tally(trials, map(mdr_probe, insts))  # drawn before the SMDR half
+    # the MDR half draws from rng before the SMDR half
+    mdr = _tally(trials, map(mdr_probe, itertools.islice(insts, trials)))
     smdr = _tally(trials, (smdr_probe() for _ in range(trials)))
     return MdrResult(mdr=mdr, smdr=smdr)
 
@@ -335,8 +330,8 @@ def check_ordered_submodular(
     f: Callable[[Sequence], float],
     universe: list[str],
     k: int,
-    trials: int = 1000,
-    seed: int = 42,
+    trials: int,
+    seed: int,
 ) -> CheckResult:
     """Probe the sequence inequality on random prefixes and substitutions."""
     rng = np.random.default_rng(seed)
@@ -377,8 +372,8 @@ def check_set_to_sequence(G: OverlapMeasure, trials: int, seed: int) -> CheckRes
         if seq_objective(G, seq, inst) < fg_set(G, R, inst) - 1e-12:
             return {"basis": sorted(R.pairs), "sequence": list(seq.entries)}
 
-    return _tally(trials, map(probe, generate_instances(
-        params, "distributional", seed=seed, n=trials)))
+    return _tally(trials, map(probe, itertools.islice(
+        instance_stream(params, "distributional", seed), trials)))
 
 
 @dataclass
@@ -393,34 +388,35 @@ class RatioReport:
 def ratio_report(
     algorithm: Callable[[Instance], tuple[Sequence, float]],
     measure: OverlapMeasure,
-    generator: Callable[[int, int], list[Instance]],
-    n: int,
-    seed: int = 42,
+    instances: Iterable[Instance],
 ) -> RatioReport:
-    """Run an algorithm against exhaustive optimum over generated instances.
+    """Run an algorithm against exhaustive optimum over ``instances``.
 
-    ``generator(seed, n)`` must yield validated instances small enough for
-    exhaustive search.
+    The instances must be validated and small enough for exhaustive search.
+    They are read one at a time; the report keeps each ratio and the first
+    run of the smallest.
     """
     from .io import instance_to_dict
 
-    runs = []  # (ratio, instance, its list, an optimal list)
-    for inst in generator(seed, n):
+    ratios = []
+    worst = None  # (ratio, instance, its list, an optimal list)
+    for inst in instances:
         seq, val = algorithm(inst)
         opt_seq, opt_val = exhaustive_opt(inst, measure=measure)
-        runs.append((val / opt_val if opt_val > 0 else 1.0, inst, seq, opt_seq))
-    arr = np.array([run[0] for run in runs])
-    worst = min(runs, key=lambda run: run[0])  # the first of the smallest
-    worst_info = {
-        "ratio": worst[0],
-        "instance": instance_to_dict(worst[1]),
-        "algorithm_sequence": list(worst[2].entries),
-        "optimal_sequence": list(worst[3].entries),
-    }
+        ratio = val / opt_val if opt_val > 0 else 1.0
+        ratios.append(ratio)
+        if worst is None or ratio < worst[0]:  # the first of the smallest
+            worst = (ratio, inst, seq, opt_seq)
+    arr = np.array(ratios)
     return RatioReport(
-        instances=n,
+        instances=len(ratios),
         min_ratio=float(arr.min()),
         median_ratio=float(np.median(arr)),
         mean_ratio=float(arr.mean()),
-        worst_instance=worst_info,
+        worst_instance={
+            "ratio": worst[0],
+            "instance": instance_to_dict(worst[1]),
+            "algorithm_sequence": list(worst[2].entries),
+            "optimal_sequence": list(worst[3].entries),
+        },
     )

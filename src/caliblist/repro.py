@@ -8,8 +8,10 @@ heuristics flip sign and mislead greedy selection.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "order_flip_instance",
     "GenParams",
     "generate_instances",
+    "instance_stream",
     "KL_MMR_TABLE",
     "ORDER_FLIP_VALUES",
 ]
@@ -228,46 +231,45 @@ def _random_full(rng: np.random.Generator, n: int) -> np.ndarray:
     return raw / raw.sum()
 
 
-def generate_instances(params: GenParams, mode: str, seed: int, n: int) -> list[Instance]:
-    """Draw n validated instances; deterministic for a fixed seed.
+def instance_stream(params: GenParams, mode: str, seed: int) -> Iterator[Instance]:
+    """Validated instances, drawn one at a time; deterministic for a fixed seed.
 
     Targets and item mixtures are normalized independent uniforms; weights
     are sorted-descending normalized uniforms. Discrete instances get one
-    point-mass item per genre.
+    point-mass item per genre. The stream is endless; ``itertools.islice`` it.
     """
     if mode not in ("distributional", "discrete"):
         raise ValidationError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        n_genres = int(rng.integers(params.min_genres, params.max_genres + 1))
-        k = int(rng.integers(params.min_k, params.max_k + 1))
-        genres = tuple(f"g{i + 1}" for i in range(n_genres))
-        target = Subdistribution(dict(zip(genres, _random_full(rng, n_genres))))
-        weights = np.sort(rng.uniform(0.0, 1.0, size=k))[::-1]
-        weights = weights / weights.sum()
-        if mode == "discrete":
-            items = tuple(
-                (f"i{i + 1}", Subdistribution({g: 1.0}))
-                for i, g in enumerate(genres)
-            )
-        else:
-            n_items = int(rng.integers(max(params.min_items, k),
-                                       max(params.max_items, k) + 1))
-            # one draw for all rows is the same stream as one draw per row;
-            # a row total on the C-ordered block has each row's 1-D sum bits
-            raw = rng.uniform(0.0, 1.0, size=(n_items, n_genres))
-            raw /= raw.sum(axis=1, keepdims=True)
-            wrap = (Subdistribution.from_positive if (raw > 0).all()
-                    else Subdistribution)  # a drawn 0.0 is dropped
-            items = tuple((f"i{i + 1}", wrap(dict(zip(genres, row))))
-                          for i, row in enumerate(raw.tolist()))
-        inst = Instance(
-            genres=genres,
-            target=target,
-            items=items,
-            weights=PositionWeights(tuple(weights)),
-            mode=mode,
-        )
-        out.append(validate_instance(inst))
-    return out
+    return (_draw(rng, params, mode) for _ in itertools.count())
+
+
+def generate_instances(params: GenParams, mode: str, seed: int, n: int) -> list[Instance]:
+    """The first n instances of :func:`instance_stream`, as a list."""
+    return list(itertools.islice(instance_stream(params, mode, seed), n))
+
+
+def _draw(rng: np.random.Generator, params: GenParams, mode: str) -> Instance:
+    n_genres = int(rng.integers(params.min_genres, params.max_genres + 1))
+    k = int(rng.integers(params.min_k, params.max_k + 1))
+    genres = tuple(f"g{i + 1}" for i in range(n_genres))
+    target = Subdistribution(dict(zip(genres, _random_full(rng, n_genres))))
+    weights = np.sort(rng.uniform(0.0, 1.0, size=k))[::-1]
+    weights = weights / weights.sum()
+    if mode == "discrete":
+        items = tuple((f"i{i + 1}", Subdistribution({g: 1.0}))
+                      for i, g in enumerate(genres))
+    else:
+        n_items = int(rng.integers(max(params.min_items, k),
+                                   max(params.max_items, k) + 1))
+        # one draw for all rows is the same stream as one draw per row;
+        # a row total on the C-ordered block has each row's 1-D sum bits
+        raw = rng.uniform(0.0, 1.0, size=(n_items, n_genres))
+        raw /= raw.sum(axis=1, keepdims=True)
+        wrap = (Subdistribution.from_positive if (raw > 0).all()
+                else Subdistribution)  # a drawn 0.0 is dropped
+        items = tuple((f"i{i + 1}", wrap(dict(zip(genres, row))))
+                      for i, row in enumerate(raw.tolist()))
+    return validate_instance(Instance(
+        genres=genres, target=target, items=items,
+        weights=PositionWeights(tuple(weights)), mode=mode))

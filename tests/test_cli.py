@@ -254,6 +254,19 @@ class TestSolve:
         assert main(["solve", instance_file]) == 1
         assert capsys.readouterr().err == "error: bad input\n"
 
+    def test_misreported_value_fails_revalidation(self, instance_file, capsys,
+                                                  monkeypatch):
+        solve_one = cli._solve_one
+
+        def misreport(inst, args, G):
+            seq, value, gains = solve_one(inst, args, G)
+            return seq, value + 1e-9, gains
+
+        monkeypatch.setattr(cli, "_solve_one", misreport)
+        assert main(["solve", instance_file]) == 1
+        assert capsys.readouterr() == (
+            "", "error: reported value failed re-validation\n")
+
 
 class TestVerify:
     def test_axioms_pass_for_hellinger(self, capsys):

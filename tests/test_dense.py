@@ -204,7 +204,7 @@ def test_lists_sets_and_closures_share_one_formula(inst, G, data):
     assume(len(inst.target.weights) < len(inst.genres))  # partial support
     s = data.draw(st.lists(st.sampled_from(inst.item_ids), max_size=inst.k))
     pairs = [(e, j) for j, e in enumerate(s, start=1)]
-    assert inst.dense.pairs_value(G, pairs) == seq_objective(
+    assert inst.dense.pairs_value(G, pairs, first_only=False) == seq_objective(
         G, Sequence(tuple(s)), inst)
     S = data.draw(st.frozensets(st.tuples(
         st.sampled_from(inst.item_ids), st.integers(1, inst.k)), max_size=14))

@@ -91,6 +91,13 @@ class TestDiscreteGreedy:
         with pytest.raises(ValidationError):
             discrete_greedy(inst)
 
+    def test_empty_genre_set_raises(self):
+        # an unvalidated instance: validate_instance rejects its empty target
+        inst = Instance(genres=(), target=Subdistribution({}), items=(),
+                        weights=PositionWeights((1.0,)), mode="discrete")
+        with pytest.raises(ValidationError, match="^empty genre set$"):
+            discrete_greedy(inst)
+
     def test_closed_form_matches_measure_objective(self):
         # The closed-form value must equal the squared-Hellinger objective
         # of the same genre sequence.
@@ -128,6 +135,10 @@ class TestGreedySequence:
         obj = sequence_objective_fn(HellingerSquared(), inst)
         with pytest.raises(ValidationError):
             greedy_sequence(obj, [inst.universe()[0]], k=2)
+
+    def test_k_below_one_raises(self):
+        with pytest.raises(ValidationError, match="^k must be at least 1$"):
+            greedy_sequence(lambda s: 0.0, ["a"], k=0)
 
     def test_empty_universe_raises(self):
         with pytest.raises(ValidationError):

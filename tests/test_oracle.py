@@ -28,7 +28,12 @@ from caliblist.oracle import (
     exhaustive_opt,
     ratio_report,
 )
-from caliblist.repro import GenParams, generate_instances, kl_pseudo_measure
+from caliblist.repro import (
+    GenParams,
+    generate_instances,
+    instance_stream,
+    kl_pseudo_measure,
+)
 
 from test_core import make_instance
 from test_greedy import discrete_instance
@@ -328,15 +333,47 @@ class TestRatioReport:
             seq, _ = greedy_sequence(obj, list(inst.universe()), inst.k)
             return seq, obj(seq)
 
-        gen = lambda seed, n: generate_instances(
-            GenParams(max_items=5, max_k=3), "distributional", seed, n)
-        report = ratio_report(alg, G, gen, n=50, seed=6)
+        insts = generate_instances(
+            GenParams(max_items=5, max_k=3), "distributional", seed=6, n=50)
+        report = ratio_report(alg, G, insts)
         assert report.instances == 50
         assert report.min_ratio <= report.median_ratio <= 1 + 1e-12
         assert report.min_ratio <= report.mean_ratio
         assert report.worst_instance is not None
         assert report.worst_instance["ratio"] == pytest.approx(
             report.min_ratio, abs=1e-15)
+
+
+def _peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _discrete_greedy_ratios(n):
+    from caliblist.greedy import discrete_greedy, discrete_objective
+
+    def alg(inst):
+        seq, _ = discrete_greedy(inst)
+        return seq, discrete_objective(inst)(seq)
+
+    insts = instance_stream(GenParams(max_genres=2, max_k=2), "discrete", 12)
+    return ratio_report(alg, HellingerSquared(), itertools.islice(insts, n))
+
+
+@pytest.mark.parametrize("check", [
+    lambda n: check_mdr(HellingerSquared(), trials=n, seed=12),
+    lambda n: check_set_to_sequence(HellingerSquared(), trials=n, seed=12),
+    _discrete_greedy_ratios,
+], ids=["mdr", "set-to-sequence", "ratios"])
+def test_suites_hold_one_instance_at_a_time(check):
+    # instances are drawn as they are probed, not held as a corpus: eight
+    # times the trials may not take another megabyte
+    check(250)  # warm-up: first-use allocations and caches
+    assert _peak(lambda: check(2000)) < _peak(lambda: check(250)) + 2 ** 20
 
 
 # Measures that pass some probes and fail others: an overlap shifted below
