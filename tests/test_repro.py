@@ -11,6 +11,7 @@ from caliblist.repro import (
     KL_MMR_TABLE,
     KlMmrInstance,
     generate_instances,
+    instance_stream,
     kl_mmr_objective,
     order_flip_instance,
     repro_appendix_b,
@@ -157,6 +158,11 @@ class TestGenerator:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):
             generate_instances(GenParams(), "mystery", seed=0, n=1)
+        # when called, before anything is drawn
+        with pytest.raises(ValidationError):
+            generate_instances(GenParams(), "mystery", seed=0, n=0)
+        with pytest.raises(ValidationError):
+            instance_stream(GenParams(), "mystery", seed=0)
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValidationError):
