@@ -7,10 +7,13 @@ packs position weight into genre bins using closed-form square-root gains
 (2/3-approximate under the squared-Hellinger overlap).
 
 The sequence greedy takes the universe's rows of ``Instance.dense.Q`` once
-and scores every position over all of them in one batch when the objective
-is the package's own :class:`ListObjective` (what
-:func:`sequence_objective_fn` returns); any other callable is called once
-per candidate. Both give the same list, gains and runner-ups, bit for bit.
+when the objective is the package's own :class:`ListObjective` (what
+:func:`sequence_objective_fn` returns), and each position then costs one
+``value_batch`` over those rows and the list's own mixture: the empty
+list's value comes from the first batch, and the list's mixture grows by
+one row sum per pick. Any other callable is called once on the empty list
+and once per candidate not yet picked. Both give the same list, gains and
+runner-ups, bit for bit.
 """
 
 from __future__ import annotations
@@ -72,7 +75,11 @@ class GreedyTrace:
 
 @dataclass(frozen=True, eq=False)
 class ListObjective:
-    """``seq_objective`` of one measure and instance, called on a list."""
+    """``seq_objective`` of one measure and instance, called on a list.
+
+    :meth:`extension_scorer` is the sequence greedy's step: one
+    ``value_batch`` call per position, and no ``value`` call.
+    """
 
     G: OverlapMeasure
     inst: Instance
@@ -81,22 +88,31 @@ class ListObjective:
         return seq_objective(self.G, seq, self.inst)
 
     def extension_scorer(self, elements: list[str]) -> Callable[[Sequence], np.ndarray]:
-        """A function giving ``self(seq.append(e))`` for each of ``elements``.
+        """The greedy's step: ``self(seq.append(e))`` for each of ``elements``,
+        then ``self(seq)``, in one ``value_batch`` call.
 
-        The elements' rows are taken once. Each call adds ``w_j · Q_e`` to the
-        prefix mixture in the order of :meth:`DenseCore.mixture`, in one batch,
-        so every value equals the call's. The batch is written into one buffer,
-        so each call's values are only good until the next call.
+        Call it first with the empty list, then with that list grown by one
+        element per call: it keeps the list's mixture and adds the last
+        element's ``w_j · Q_e`` to it, as :meth:`DenseCore.mixture` adds, so
+        every value equals the call's. The elements' rows and a zero row (the
+        list itself) are taken once, in ``_row_sums``' layout, and scored in
+        one buffer, so each call's values are only good until the next call.
         """
         core, k = self.inst.dense, self.inst.k
-        Q = core.Q.take([core.row[e] for e in elements], 0)
+        Q = np.zeros((len(elements) + 1, len(core.genres)),
+                     order="F" if len(core.genres) < 8 else "C")
+        Q[:-1] = core.Q.take([core.row[e] for e in elements], 0)
         batch = np.empty_like(Q)
+        q = Q[-1]  # the list's mixture, kept out of the batch a measure may overwrite
 
         def values(seq: Sequence) -> np.ndarray:
-            if len(seq) >= k:
+            nonlocal q
+            j = len(seq)
+            if j >= k:
                 raise ValidationError(f"sequence longer than k={k}")
-            q = core.mixture([core.row[e] for e in seq], core.w[:len(seq)])
-            np.multiply(Q, core.w[len(seq)], out=batch)
+            if j:
+                q = core.Q[core.row[seq[-1]]] * core.w[j - 1] + q
+            np.multiply(Q, core.w[j], out=batch)
             np.add(batch, q, out=batch)  # q + w_j · Q_e: float addition commutes
             return self.G.value_batch(core.p, batch)
 
@@ -134,9 +150,10 @@ def greedy_sequence(
 
     Ties break toward the lexicographically smallest element. Raises
     :class:`ValidationError` if the universe runs out before k picks when
-    repeats are disallowed. A :class:`ListObjective` scores each position's
-    candidates in one batch; any other callable is called once per
-    candidate.
+    repeats are disallowed, before the length error of the same position. A
+    :class:`ListObjective` scores each position's candidates and the list
+    itself in one batch (k ``value_batch`` calls in all); any other callable
+    is called once on the empty list, then once per live candidate.
     """
     if k < 1:
         raise ValidationError("k must be at least 1")
@@ -144,19 +161,23 @@ def greedy_sequence(
         raise ValidationError("empty universe")
     elements = sorted(universe)
     dead = np.zeros(len(elements), bool)  # picked, when repeats are disallowed
+    live = len(elements)
     if isinstance(objective, ListObjective):
         score = objective.extension_scorer(elements)
     else:
-        score = lambda seq: [-math.inf if out else objective(seq.append(e))
-                             for e, out in zip(elements, dead.tolist())]
+        def score(seq: Sequence) -> list[float]:
+            own = math.nan if seq else objective(seq)  # only the empty list's is read
+            return [*(-math.inf if out else objective(seq.append(e))
+                      for e, out in zip(elements, dead.tolist())), own]
     seq = Sequence()
     trace = GreedyTrace()
-    current = objective(seq)
     for pos in range(1, k + 1):
-        if dead.all():
+        if not live:
             raise ValidationError(f"universe exhausted at position {pos}")
         vals = np.asarray(score(seq), dtype=float)
-        b, r = _best_two(vals, dead)  # picked elements drop out
+        if pos == 1:
+            current = float(vals[-1])  # the empty list's value
+        b, r = _best_two(vals[:-1], dead)  # picked elements drop out
         best = runner = None
         best_val = runner_val = -math.inf
         if b is not None:
@@ -173,6 +194,7 @@ def greedy_sequence(
         if not allow_repeats:  # every copy of a repeated universe entry
             lo, hi = bisect_left(elements, best), bisect_right(elements, best)
             dead[lo:hi] = True
+            live -= hi - lo
         current = best_val
     return seq, trace
 

@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from caliblist.core import (
@@ -203,6 +204,23 @@ class InPlaceView(OverlapMeasure):
         return Q[:, 0]
 
 
+class CountingHellinger(OverlapMeasure):
+    """Hellinger that counts the calls made to each of its two methods."""
+
+    name = "counting-hellinger"
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def value(self, p, q):
+        self.calls["value"] += 1
+        return HellingerSquared().value(p, q)
+
+    def value_batch(self, p, Q):
+        self.calls["value_batch"] += 1
+        return HellingerSquared().value_batch(p, Q)
+
+
 class TestBatchedGreedy:
     """The batched path must make the loop's choices with the loop's values."""
 
@@ -225,6 +243,27 @@ class TestBatchedGreedy:
         batched = _outcome(sequence_objective_fn(G, inst), universe, k, allow_repeats)
         assert batched == _outcome(by_call, universe, k, allow_repeats)
         assert batched == _outcome(by_call, universe, k, allow_repeats, _scan)
+
+    @given(st.one_of(tied_instances((1, 7)), tied_instances((8, 14))),
+           st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_batch_per_position_and_one_call_per_live_candidate(
+            self, inst, allow_repeats, data):
+        k = data.draw(st.integers(1, inst.k))
+        universe = list(inst.universe())
+        universe += data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=3))
+        assume(allow_repeats or len(set(universe)) >= k)  # no exhaustion
+        G = CountingHellinger()
+        greedy_sequence(sequence_objective_fn(G, inst), universe, k, allow_repeats)
+        assert G.calls == {"value_batch": k}  # the empty list's value included
+        calls = []
+        seq, _ = greedy_sequence(
+            lambda s: calls.append(s) or seq_objective(HellingerSquared(), s, inst),
+            universe, k, allow_repeats)
+        live = [sum(allow_repeats or e not in seq[:j] for e in universe)
+                for j in range(k)]  # copies of a picked entry drop out together
+        assert len(calls) == 1 + sum(live)
+        assert [len(s) for s in calls].count(0) == 1 and not calls[0]
 
     def test_length_and_exhaustion_errors_match(self):
         inst = generate_instances(GenParams(min_items=3, max_items=3, min_k=2,
