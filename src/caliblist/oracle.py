@@ -407,6 +407,8 @@ def ratio_report(
         ratios.append(ratio)
         if worst is None or ratio < worst[0]:  # the first of the smallest
             worst = (ratio, inst, seq, opt_seq)
+    if worst is None:
+        raise ValidationError("no instances to report on")
     arr = np.array(ratios)
     return RatioReport(
         instances=len(ratios),

@@ -224,6 +224,10 @@ class GenParams:
     def __post_init__(self):
         if min(self.min_genres, self.min_items, self.min_k) < 1:
             raise ValidationError("bounds must be positive")
+        for name in ("genres", "items", "k"):
+            low, high = getattr(self, f"min_{name}"), getattr(self, f"max_{name}")
+            if low > high:
+                raise ValidationError(f"min_{name} {low} exceeds max_{name} {high}")
 
 
 def _random_full(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -343,6 +343,10 @@ class TestRatioReport:
         assert report.worst_instance["ratio"] == pytest.approx(
             report.min_ratio, abs=1e-15)
 
+    def test_no_instances_rejected(self):
+        with pytest.raises(ValidationError, match="^no instances to report on$"):
+            ratio_report(lambda inst: (Sequence(), 0.0), HellingerSquared(), [])
+
 
 def _peak(run) -> int:
     tracemalloc.start()

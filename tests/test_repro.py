@@ -167,3 +167,9 @@ class TestGenerator:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValidationError):
             GenParams(min_genres=0)
+
+    @pytest.mark.parametrize("name", ["genres", "items", "k"])
+    def test_min_above_max_rejected_at_construction(self, name):
+        with pytest.raises(ValidationError, match=f"^min_{name} 5 exceeds max_{name} 4$"):
+            GenParams(**{f"min_{name}": 5, f"max_{name}": 4})
+        GenParams(**{f"min_{name}": 4, f"max_{name}": 4})  # equal bounds stay valid
