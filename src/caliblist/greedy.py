@@ -75,11 +75,8 @@ class GreedyTrace:
 
 @dataclass(frozen=True, eq=False)
 class ListObjective:
-    """``seq_objective`` of one measure and instance, called on a list.
-
-    :meth:`extension_scorer` is the sequence greedy's step: one
-    ``value_batch`` call per position, and no ``value`` call.
-    """
+    """``seq_objective`` of one measure and instance, called on a list; its
+    :meth:`extension_scorer` scores a greedy position in one ``value_batch``."""
 
     G: OverlapMeasure
     inst: Instance
