@@ -28,6 +28,7 @@ from .core import (
     Sequence,
     ValidationError,
     seq_objective,
+    truncate_instance,
 )
 from .io import load_instance
 
@@ -87,14 +88,13 @@ class SolveReport:
 def _solve_one(inst, args, G) -> tuple[Sequence, float, list[float]]:
     algo = args.algorithm
     if algo == "greedy":
-        objective = greedy_mod.sequence_objective_fn(G, inst)
         seq, trace = greedy_mod.greedy_sequence(
-            objective, list(inst.universe()), inst.k,
+            greedy_mod.sequence_objective_fn(G, inst), list(inst.universe()), inst.k,
             allow_repeats=args.allow_repeats or inst.mode == "discrete")
-        return seq, objective(seq), trace.gains
+        return seq, trace.value, trace.gains
     if algo == "discrete-greedy":
         seq, trace = greedy_mod.discrete_greedy(inst)
-        return seq, greedy_mod.discrete_objective(inst)(seq), trace.gains
+        return seq, trace.value, trace.gains
     if algo == "exhaustive":
         seq, val = oracle_mod.exhaustive_opt(
             inst, measure=G,
@@ -114,7 +114,7 @@ def cmd_solve(args) -> int:
     inst = load_instance(args.file)
     G = _solver_measure(args)
     if args.k_override is not None:
-        inst = greedy_mod.truncate_instance(inst, args.k_override)
+        inst = truncate_instance(inst, args.k_override)
     start = time.perf_counter()
     if args.best_length:
         solver = lambda sub: _solve_one(sub, args, G)[:2]
@@ -124,8 +124,7 @@ def cmd_solve(args) -> int:
         seq, value, gains = _solve_one(inst, args, G)
         length = len(seq)
     duration = time.perf_counter() - start
-    check_inst = (greedy_mod.truncate_instance(inst, length)
-                  if length != inst.k else inst)
+    check_inst = truncate_instance(inst, length) if length != inst.k else inst
     if abs(seq_objective(G, seq, check_inst) - value) > 1e-12:
         raise ValidationError("reported value failed re-validation")
     report = SolveReport(

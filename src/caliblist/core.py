@@ -11,7 +11,8 @@ algorithm in this package maximizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from copy import copy
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Callable, Mapping
@@ -135,6 +136,15 @@ class PositionWeights:
         return self.w[position - 1] if position <= len(self.w) else 0.0
 
 
+def _cells(gidx: Mapping[str, int], dists) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, column) in ``Q`` of each mass of the item dicts ``dists``, in
+    key order: the cells every item scatter writes. -1 marks a key not in ``gidx``."""
+    sizes = list(map(len, dists))
+    cols = np.fromiter(map(gidx.get, chain.from_iterable(dists), repeat(-1)),
+                       int, sum(sizes))
+    return np.arange(len(dists)).repeat(sizes), cols
+
+
 @dataclass(frozen=True, eq=False)
 class DenseCore:
     """Dense arrays behind every objective of one instance.
@@ -162,23 +172,16 @@ class DenseCore:
         return Q
 
     @classmethod
-    def of(cls, inst: Instance) -> DenseCore:
-        """The dense core of the validated ``inst``: on the ``Q`` of a loaded
-        instance (:meth:`Instance.of_rows`), else its item dicts scattered."""
+    def of(cls, inst: Instance, Q: np.ndarray | None = None) -> DenseCore:
+        """The dense core of ``inst`` on the item matrix ``Q`` a loader filled
+        (:meth:`Instance.of_rows`), else on its item dicts scattered."""
         genres = tuple(sorted(inst.genres))
         m, n_items = len(genres), len(inst.item_ids)
         gidx = dict(zip(genres, range(m)))
-        if "_rows" in vars(inst):
-            Q = vars(inst)["_rows"][0]
-        else:
+        if Q is None:
             dists = [d.weights for _, d in inst.items]
             Q = cls.blank(genres, n_items, inst.mode)
-            # all item masses in one scatter, at flat index row * m + column
-            flat = np.arange(n_items).repeat(list(map(len, dists))) * m
-            flat += np.fromiter(map(gidx.__getitem__, chain.from_iterable(dists)),
-                                int, len(flat))
-            np.put(Q, flat, np.fromiter(chain.from_iterable(map(dict.values, dists)),
-                                        float, len(flat)))
+            Q[_cells(gidx, dists)] = list(chain.from_iterable(map(dict.values, dists)))
         p = np.array([inst.target.get(g) for g in genres])
         item_row = dict(zip(inst.item_ids, range(n_items)))
         row = item_row
@@ -220,8 +223,8 @@ class Instance:
     mode items carry arbitrary genre mixtures and the universe is the
     item catalog.
 
-    A loaded instance (:meth:`of_rows`) holds its item masses only in its
-    dense core's ``Q`` and builds ``items`` from them on first access, as
+    An instance whose masses :meth:`of_rows` wrote into its dense core's ``Q``
+    holds them only there and builds ``items`` from them on first access, as
     equality, ``repr``, ``dataclasses.replace`` and the writers read them;
     the solvers and :func:`validate_instance` read ``item_ids`` and ``Q``.
     """
@@ -235,43 +238,42 @@ class Instance:
     @classmethod
     def of_rows(cls, genres: tuple[str, ...], target: Subdistribution, ids: list[str],
                 dists: list[dict], masses: np.ndarray, weights: PositionWeights,
-                mode: str) -> Instance | None:
-        """The instance whose items ``ids`` have the dicts ``dists``, with their
-        positive float ``masses`` end to end, if the items all write the same
-        keys or each its keys in sorted genre order, all declared; else None.
-        It holds the masses only in the rows of its core's ``Q``, in one slice
-        assignment or one scatter, and builds ``items`` when first read."""
+                mode: str) -> Instance:
+        """The checked instance whose items ``ids`` have the dicts ``dists``, with
+        their positive float ``masses`` end to end: in its core's ``Q`` (one slice
+        assignment or one scatter) if the items all write the same keys, or each
+        its declared keys in sorted genre order, else in its dicts. Either way it
+        is checked as :func:`validate_instance` checks the dicts."""
         gidx = {g: n for n, g in enumerate(sorted(genres))}
         keys = list(dists[0]) if dists else []
+        order = None
         if all(list(d) == keys for d in dists):
-            order = list(map(gidx.get, keys))
-            if None in order:
-                return None
-            Q = DenseCore.blank(genres, len(dists), mode)
-            Q[:len(dists), order] = masses.reshape(len(dists), len(keys))
+            if None not in (cols := list(map(gidx.get, keys))):
+                Q, order = DenseCore.blank(genres, len(dists), mode), cols
+                Q[:len(dists), order] = masses.reshape(len(dists), len(keys))
         else:
-            cols = np.fromiter(map(gidx.get, chain.from_iterable(dists), repeat(-1)),
-                               int, len(masses))
-            rows = np.arange(len(dists)).repeat(list(map(len, dists)))
-            if cols.min() < 0 or not (np.diff(cols)[rows[1:] == rows[:-1]] > 0).all():
-                return None
-            Q, order = DenseCore.blank(genres, len(dists), mode), range(len(gidx))
-            Q[rows, cols] = masses
+            rows, cols = _cells(gidx, dists)
+            if cols.min() >= 0 and (np.diff(cols)[rows[1:] == rows[:-1]] > 0).all():
+                Q, order = DenseCore.blank(genres, len(dists), mode), range(len(gidx))
+                Q[rows, cols] = masses
+        if order is None:  # keys in no shared order, or an undeclared one
+            items = zip(ids, map(Subdistribution.from_positive, map(dict, dists)))
+            return validate_instance(cls(genres, target, tuple(items), weights, mode))
         self = object.__new__(cls)
         vars(self).update(genres=genres, target=target, weights=weights, mode=mode,
-                          item_ids=tuple(ids), _rows=(Q, order))
-        return self
+                          item_ids=tuple(ids), _key_cols=order)
+        vars(self)["dense"] = DenseCore.of(self, Q)  # fills the cached property
+        return validate_instance(self)
 
     def __getattr__(self, name: str):
         # reached only for an attribute not set: the items of a loaded instance
-        rows = vars(self).get("_rows") if name == "items" else None
-        if rows is None:
+        order = vars(self).get("_key_cols") if name == "items" else None
+        if order is None:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        (Q, order), genres = rows, sorted(self.genres)
-        keys = [genres[c] for c in order]
+        keys = [self.dense.genres[c] for c in order]
         dists = ({g: v for g, v in zip(keys, row) if v}
-                 for row in Q[:len(self.item_ids), order].tolist())
+                 for row in self.dense.Q[:len(self.item_ids), order].tolist())
         items = vars(self)["items"] = tuple(
             zip(self.item_ids, map(Subdistribution.from_positive, dists)))
         return items
@@ -294,6 +296,25 @@ class Instance:
         if self.mode == "discrete":
             return tuple(sorted(self.genres))
         return tuple(sorted(self.item_ids))
+
+
+def truncate_instance(inst: Instance, length: int) -> Instance:
+    """Restrict to the first ``length`` positions, renormalizing the weights.
+
+    The result shares the parent's items, built or not, and its dense core
+    except ``w``, which is built from its own weights (``PositionWeights``
+    may renormalize them again).
+    """
+    if not 1 <= length <= inst.k:
+        raise ValidationError(f"length {length} outside [1, {inst.k}]")
+    w = inst.weights.w[:length]
+    total = ordered_sum(w)
+    weights = PositionWeights(tuple(v / total for v in w))
+    short_w = np.array(weights.w)
+    short_w.setflags(write=False)
+    short = copy(inst)  # a replace() would build the items of a loaded instance
+    vars(short).update(weights=weights, dense=replace(inst.dense, w=short_w))
+    return short
 
 
 @dataclass(frozen=True)
@@ -502,8 +523,8 @@ def validate_instance(inst: Instance) -> Instance:
         raise ValidationError("target uses undeclared genres")
     ids = inst.item_ids
     discrete = inst.mode == "discrete"
-    rows = vars(inst).get("_rows")
-    if rows is None:
+    order = vars(inst).get("_key_cols")
+    if order is None:
         dists = [d.weights for _, d in inst.items]
         totals = [ordered_sum(d.values()) for d in dists]  # summed as total() does
         off = [abs(t - 1.0) > TOL for t in totals]
@@ -512,7 +533,7 @@ def validate_instance(inst: Instance) -> Instance:
                       [not d.keys() <= genre_set for d in dists])
         spread = [len(d) != 1 for d in dists] if discrete else []
     else:  # the same verdicts as masks; every mass is positive and declared
-        Q, order = rows
+        Q = inst.dense.Q
         sums, sizes = np.zeros(len(ids)), np.zeros(len(ids), int)
         for c in order:
             sums += Q[:len(ids), c]
@@ -534,7 +555,7 @@ def validate_instance(inst: Instance) -> Instance:
         if True in fails:
             n = list(fails).index(True)
             # from the rows, an empty item's total is ordered_sum's int 0
-            t = totals[n] if rows is None else float(sums[n]) if Q[n].any() else 0
+            t = totals[n] if order is None else float(sums[n]) if Q[n].any() else 0
             raise ValidationError(message.format(i=ids[n], t=t))
     if inst.mode not in ("distributional", "discrete"):
         raise ValidationError(f"unknown mode {inst.mode!r}")

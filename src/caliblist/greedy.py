@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from copy import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,11 +28,11 @@ import numpy as np
 from .core import (
     Instance,
     OverlapMeasure,
-    PositionWeights,
     Sequence,
     ValidationError,
     ordered_sum,
     seq_objective,
+    truncate_instance,
 )
 
 __all__ = [
@@ -60,6 +59,7 @@ class GreedyStep:
 @dataclass
 class GreedyTrace:
     steps: list[GreedyStep] = field(default_factory=list)
+    value: float = math.nan  # the objective value of the list built so far
 
     def record(self, step: GreedyStep) -> None:
         if not math.isfinite(step.gain):
@@ -173,7 +173,7 @@ def greedy_sequence(
             raise ValidationError(f"universe exhausted at position {pos}")
         vals = np.asarray(score(seq), dtype=float)
         if pos == 1:
-            current = float(vals[-1])  # the empty list's value
+            trace.value = float(vals[-1])  # the empty list's value
         b, r = _best_two(vals[:-1], dead)  # picked elements drop out
         best = runner = None
         best_val = runner_val = -math.inf
@@ -184,7 +184,7 @@ def greedy_sequence(
         # Objectives may use -inf as an "undefined on this prefix" sentinel
         # (e.g. log-of-mixture scores on the empty list); gains are then
         # reported relative to zero.
-        base = current if math.isfinite(current) else 0.0
+        base = trace.value if math.isfinite(trace.value) else 0.0
         trace.record(GreedyStep(pos, best, best_val - base,
                                 runner, runner_val - base))
         seq = seq.append(best)
@@ -192,7 +192,7 @@ def greedy_sequence(
             lo, hi = bisect_left(elements, best), bisect_right(elements, best)
             dead[lo:hi] = True
             live -= hi - lo
-        current = best_val
+        trace.value = best_val
     return seq, trace
 
 
@@ -244,26 +244,8 @@ def discrete_greedy(inst: Instance) -> tuple[Sequence, GreedyTrace]:
         trace.record(GreedyStep(pos, best, best_gain, runner, runner_gain))
         load[best] = load.get(best, 0.0) + w
         seq = seq.append(best)
+    trace.value = discrete_objective(inst)(seq)
     return seq, trace
-
-
-def truncate_instance(inst: Instance, length: int) -> Instance:
-    """Restrict to the first ``length`` positions, renormalizing the weights.
-
-    The result shares the parent's items, built or not, and its dense core
-    except ``w``, which is built from its own weights (``PositionWeights``
-    may renormalize them again).
-    """
-    if not 1 <= length <= inst.k:
-        raise ValidationError(f"length {length} outside [1, {inst.k}]")
-    w = inst.weights.w[:length]
-    total = ordered_sum(w)
-    weights = PositionWeights(tuple(v / total for v in w))
-    short_w = np.array(weights.w)
-    short_w.setflags(write=False)
-    short = copy(inst)  # a replace() would build the items of a loaded instance
-    vars(short).update(weights=weights, dense=replace(inst.dense, w=short_w))
-    return short
 
 
 def best_length_solve(

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    DenseCore,
     Instance,
     PositionWeights,
     Subdistribution,
@@ -70,15 +69,10 @@ def _all(values, kind: str, where: str) -> bool:
 def instance_from_dict(data: dict) -> Instance:
     """The checked instance of a JSON document; one type pass per kind of value.
 
-    When every mass is a positive float and the items all write the same keys,
-    or each writes its declared keys in sorted genre order (as ``save_instance``
-    writes them), the masses go straight into the rows of the dense core's
-    ``Q`` in one slice assignment or one scatter, and the instance keeps only
-    ``Q`` and its keys' column order (:meth:`Instance.of_rows`). Any other
-    document (an undeclared key, keys in no shared order, an int, zero or
-    negative mass) wraps each dist as a ``Subdistribution``, which converts
-    ints, drops zeros and rejects negative masses, and is checked over its
-    dicts; its core is scattered from them when first used. Every route gives
+    A document whose masses are all positive floats is built by
+    :meth:`Instance.of_rows`. Any other (an int, zero or negative mass) wraps
+    each dist as a ``Subdistribution``, which converts ints, drops zeros and
+    rejects negative masses, and is checked over its dicts. Every route gives
     the same checks, messages and outcome.
     """
     data = _typed(data, "an object", "instance")
@@ -119,12 +113,7 @@ def instance_from_dict(data: dict) -> Instance:
     target = Subdistribution(target)
     mode = _typed(data["mode"], "a string", "mode")
     if clean:
-        inst = Instance.of_rows(genres, target, ids, dists, masses, weights, mode)
-        if inst is not None:
-            validate_instance(inst)
-            vars(inst)["dense"] = DenseCore.of(inst)  # fills the cached property
-            return inst
-        subs = [Subdistribution.from_positive(dict(d)) for d in dists]
+        return Instance.of_rows(genres, target, ids, dists, masses, weights, mode)
     return validate_instance(Instance(genres, target, tuple(zip(ids, subs)), weights, mode))
 
 

@@ -33,10 +33,11 @@ from caliblist.core import (
     hatfg_set,
     induced_distribution,
     seq_objective,
+    truncate_instance,
     validate_instance,
 )
 from caliblist import matroid
-from caliblist.greedy import sequence_objective_fn, truncate_instance
+from caliblist.greedy import sequence_objective_fn
 from caliblist.io import instance_from_dict, instance_to_dict
 from caliblist.matroid import (
     LaminarMatroid,

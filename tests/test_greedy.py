@@ -14,11 +14,13 @@ from caliblist.core import (
     Instance,
     OverlapMeasure,
     PositionWeights,
+    PowerOverlap,
     Sequence,
     Subdistribution,
     ValidationError,
     _row_sums,
     seq_objective,
+    truncate_instance,
     validate_instance,
 )
 from caliblist.greedy import (
@@ -29,12 +31,12 @@ from caliblist.greedy import (
     discrete_objective,
     greedy_sequence,
     sequence_objective_fn,
-    truncate_instance,
 )
 from caliblist.oracle import exhaustive_opt
 from caliblist.repro import GenParams, generate_instances
 
 from test_dense import GENRE_COUNT, instances, measures
+from test_golden import CORPUS
 
 
 def discrete_instance(target, weights):
@@ -172,6 +174,7 @@ def _scan(objective, universe, k, allow_repeats):
         base = current if math.isfinite(current) else 0.0
         trace.record(GreedyStep(pos, best, best_val - base, runner, runner_val - base))
         seq, current = seq.append(best), best_val
+    trace.value = current
     return seq, trace
 
 
@@ -294,6 +297,26 @@ class TestBatchedGreedy:
         elements = [f"e{i}" for i in range(n)]
         f = lambda s: table[(len(s) - 1) * n + elements.index(s[-1])] if s else 0.0
         assert _outcome(f, elements, k, True) == _outcome(f, elements, k, True, _scan)
+
+    def test_trace_value_is_the_lists_value_on_the_golden_corpora(self):
+        """The value a trace records is its list's: ``seq_objective``'s bits
+        for the sequence greedy, batched or called; ``discrete_objective``'s
+        for the discrete greedy, which may differ from ``seq_objective`` in
+        the last bit (within the CLI's 1e-12 re-validation)."""
+        for mode, params, seed, count, _, *edit in CORPUS:
+            insts = generate_instances(params, mode, seed, count)
+            for inst in map(edit[0], insts) if edit else insts:
+                for G in (HellingerSquared(), PowerOverlap(0.5)):
+                    for objective in (sequence_objective_fn(G, inst),
+                                      lambda s: seq_objective(G, s, inst)):
+                        seq, trace = greedy_sequence(objective, list(inst.universe()),
+                                                     inst.k, mode == "discrete")
+                        assert trace.value.hex() == seq_objective(G, seq, inst).hex()
+                if mode == "discrete":
+                    seq, trace = discrete_greedy(inst)
+                    assert trace.value.hex() == discrete_objective(inst)(seq).hex()
+                    hellinger = seq_objective(HellingerSquared(), seq, inst)
+                    assert abs(trace.value - hellinger) <= 1e-12
 
 
 class TestBestLength:

@@ -19,7 +19,13 @@ import numpy as np
 from hypothesis import given, settings
 
 from caliblist.cli import main
-from caliblist.core import Subdistribution, ordered_sum
+from caliblist.core import (
+    Instance,
+    PositionWeights,
+    Subdistribution,
+    ValidationError,
+    ordered_sum,
+)
 from caliblist.io import instance_from_dict, instance_to_dict, load_instance, save_instance
 from caliblist.repro import GenParams, generate_instances
 
@@ -30,6 +36,12 @@ from test_loaded_core import built, documents
 def _entries(inst):
     """Each item's id and its masses in key order, floats as their bits."""
     return [(i, [(g, v.hex()) for g, v in d.weights.items()]) for i, d in inst.items]
+
+
+def filled_at_load(inst):
+    """True when a load wrote the masses into ``Q``: the dense core is built
+    and the items are not."""
+    return "dense" in vars(inst) and "items" not in vars(inst)
 
 
 def assert_items_as_built(load, ref, path):
@@ -102,7 +114,7 @@ def test_golden_corpus_files_load_the_items_as_built(tmp_path):
         doc = layouts()[name]
         for variant in (doc, {**doc, "items": doc["items"][::-1]}):
             path.write_text(json.dumps(variant))
-            assert "_rows" in vars(load_instance(path)), name  # its masses went to Q
+            assert filled_at_load(load_instance(path)), name
             assert_items_as_built(lambda: load_instance(path), built(variant), copy_path)
 
 
@@ -112,7 +124,7 @@ def test_a_loaded_instance_keeps_nothing_of_the_document():
     for name, doc in layouts().items():  # layouts share a target dict
         doc, fresh = copy.deepcopy(doc), copy.deepcopy(doc)
         inst = instance_from_dict(doc)
-        assert ("_rows" in vars(inst)) == (name not in ("shuffled keys", "ints and zeros"))
+        assert filled_at_load(inst) == (name not in ("shuffled keys", "ints and zeros"))
         for d in [doc["target"]] + [e["dist"] for e in doc["items"]]:
             for g in list(d):
                 d[g] = 0.125
@@ -123,6 +135,69 @@ def test_a_loaded_instance_keeps_nothing_of_the_document():
         for field in ("p", "Q", "w"):
             assert np.array_equal(getattr(inst.dense, field), getattr(want.dense, field))
         assert inst.dense.row == want.dense.row
+
+
+def _arrays(value):
+    """The numpy arrays ``value`` is or holds in its tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in _arrays(v)]
+    return []
+
+
+def _broken(doc):
+    """``doc``, then copies of it that each fail one check (or none, where
+    the edit leaves the document valid)."""
+    def edited(field, fn, n=-1):
+        items = copy.deepcopy(doc["items"])
+        items[n][field] = fn(items[n][field])
+        return {**doc, "items": items}
+
+    two = sorted(doc["genres"])[:2]
+    yield doc
+    yield edited("dist", lambda d: {g: 2 * v for g, v in d.items()}, n=0)  # mass > 1
+    yield edited("dist", lambda d: {g: v / 2 for g, v in d.items()})  # mass < 1
+    yield edited("dist", lambda d: {"zz" if n == 0 else g: v  # an undeclared genre
+                                    for n, (g, v) in enumerate(d.items())})
+    yield edited("dist", lambda d: dict.fromkeys(two, 0.5))  # no point mass
+    yield edited("id", lambda _: doc["items"][0]["id"])  # a duplicate id
+
+
+def _of_rows(doc):
+    """``Instance.of_rows`` on the document's parts, its masses as positive floats."""
+    dists = [{g: float(v) for g, v in e["dist"].items() if v} for e in doc["items"]]
+    masses = np.array([v for d in dists for v in d.values()])
+    return Instance.of_rows(tuple(doc["genres"]), Subdistribution(doc["target"]),
+                            [e["id"] for e in doc["items"]], dists, masses,
+                            PositionWeights(tuple(doc["weights"])), doc["mode"])
+
+
+def _instance_or_error(build, doc):
+    try:
+        return build(copy.deepcopy(doc))
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_a_loaded_instance_holds_its_masses_once():
+    """A loaded instance holds no array outside its dense core, on any route,
+    and ``Instance.of_rows`` gives the instance or error ``instance_from_dict``
+    gives, for every layout and for each one broken."""
+    for name, doc in layouts().items():
+        for variant in _broken(doc):
+            want = _instance_or_error(instance_from_dict, variant)
+            got = _instance_or_error(_of_rows, variant)
+            assert type(got) is type(want), (name, got, want)
+            if isinstance(want, str):
+                assert got == want, name
+                continue
+            for inst in (got, want):
+                held = [v for k, v in vars(inst).items() if k != "dense"]
+                assert _arrays(held) == [], name
+            assert got == want, name
+            for field in ("p", "Q", "w"):
+                assert np.array_equal(getattr(got.dense, field), getattr(want.dense, field))
 
 
 @given(documents())
